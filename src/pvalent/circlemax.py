@@ -1,96 +1,127 @@
 """Maximum modulus of a polynomial on the unit circle.
 
-Coarse equally spaced sampling locates the local maxima of the boundary
-modulus; simultaneous ternary searches then shrink each bracket to an
-angular resolution of 1e-10.  For polynomial data the boundary maximum
-equals the supremum over the open disk (maximum-modulus principle), so
-this routine also computes disk suprema.
+One FFT samples the boundary modulus on a coarse grid of at least eight
+points per unit of degree.  A bound from Bernstein's inequality discards
+every sample bracket that cannot hold the maximum; golden-section searches
+then shrink the surviving brackets together to an angular resolution of
+1e-10, evaluating the polynomial directly at each probe.  For polynomial
+data the boundary maximum equals the supremum over the open disk
+(maximum-modulus principle), so this routine also computes disk suprema.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError
 
 DEFAULT_GRID = 4096
 MIN_GRID = 8
+#: largest requested grid; the coarse grid may still grow past it with the degree
+MAX_GRID = 1 << 22
 ANGLE_RESOLUTION = 1e-10
+#: coarse samples per unit of degree
+SAMPLES_PER_DEGREE = 8
+#: cap on probes x coefficients in one direct evaluation, bounding its memory
+EVAL_CHUNK = 1 << 16
 
-
-@lru_cache(maxsize=8)
-def _unit_circle(grid: int) -> np.ndarray:
-    points = np.exp(2j * math.pi * np.arange(grid) / grid)
-    points.flags.writeable = False
-    return points
+_EPS = float(np.finfo(float).eps)
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_TWO_PI = 2.0 * math.pi
 
 
 def _modulus_at(coeffs: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    return np.abs(npoly.polyval(np.exp(1j * angles), coeffs))
+    """|sum_k c_k e^{i k t}| at each angle t, summed directly (no FFT)."""
+    powers = np.arange(coeffs.size)
+    rows = max(1, EVAL_CHUNK // coeffs.size)
+    return np.concatenate([
+        np.abs(np.exp(1j * np.outer(angles[i : i + rows], powers)) @ coeffs)
+        for i in range(0, angles.size, rows)
+    ])
 
 
-def _bracket_centers(values: np.ndarray, cap: int) -> np.ndarray:
-    """Indices of circular local maxima, one representative per plateau."""
+def _bracket_centers(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Indices of circular local maxima among `keep`, one per plateau."""
     ge_prev = values >= np.roll(values, 1)
     ge_next = values >= np.roll(values, -1)
-    cand = np.flatnonzero(ge_prev & ge_next)
-    if cand.size == 0 or cand.size == values.size:
-        # flat modulus (constants, monomials): any sample is a maximiser
-        return np.array([int(np.argmax(values))])
+    cand = np.flatnonzero(ge_prev & ge_next & keep)
     breaks = np.flatnonzero(np.diff(cand) > 1)
     runs = np.split(cand, breaks + 1)
     if len(runs) > 1 and cand[0] == 0 and cand[-1] == values.size - 1:
         runs[0] = np.concatenate([runs[-1], runs[0]])
         runs.pop()
-    reps = np.array([run[np.argmax(values[run])] for run in runs])
-    if reps.size > cap:
-        order = np.argsort(values[reps])[::-1]
-        reps = np.sort(reps[order[:cap]])
-    return reps
+    return np.array([run[np.argmax(values[run])] for run in runs])
 
 
 def max_modulus_on_circle(
     coeffs, grid: int = DEFAULT_GRID, resolution: float = ANGLE_RESOLUTION
 ) -> tuple[float, float]:
-    """Return (max_t |p(e^{it})|, argmax t) for ascending coefficients `coeffs`.
+    """Return (max_t |p(e^{it})|, argmax t in [0, 2 pi)) for ascending `coeffs`.
 
-    `grid` equally spaced samples bracket every local maximum; the brackets
-    are refined together by ternary search until they are narrower than
-    `resolution`.  The reported value is never below the best raw sample.
-    Grids below 8 points are rejected as insufficient sampling.
+    `grid` is the minimum coarse grid: it is doubled until it holds at least
+    8 samples per unit of degree d (the index of the last nonzero
+    coefficient), so the samples of the requested grid stay among those
+    taken.  If the samples are flat to 8 eps sum |c_k| (constants,
+    monomials), the best sample is returned.  Otherwise |p|^2 is a
+    trigonometric polynomial of degree d, and by Bernstein's inequality a
+    local maximum within half a step of sample j is at most
+    vals[j]^2 + d^2 B^2 (step/2)^2 / 2, with B = best / sqrt(1 - (pi d/n)^2/2)
+    bounding max |p| on a grid of n samples.  Only the sample maxima whose
+    bound reaches the best sample are refined, by golden-section search,
+    until their brackets are narrower than `resolution`.  The reported
+    value is never below the best sample.  Grids below 8 or above 2^22
+    points are rejected.
     """
     if grid < MIN_GRID:
         raise DomainError(f"grid must be at least {MIN_GRID}, got {grid}")
+    if grid > MAX_GRID:
+        raise DomainError(f"grid must be at most {MAX_GRID}, got {grid}")
     c = np.asarray(coeffs, dtype=np.complex128)
-    if c.size == 0 or not np.any(c):
+    nonzero = np.flatnonzero(c)
+    if nonzero.size == 0:
         return 0.0, 0.0
-    step = 2.0 * math.pi / grid
-    vals = np.abs(npoly.polyval(_unit_circle(grid), c))
+    degree = int(nonzero[-1])
+    c = c[: degree + 1]
+    n = grid
+    while n < SAMPLES_PER_DEGREE * degree:
+        n *= 2
+    step = _TWO_PI / n
+    # fft(conj c)[j] = conj p(e^{2 pi i j/n}); n > degree, so nothing folds
+    vals = np.abs(np.fft.fft(np.conj(c), n))
     raw_best = int(np.argmax(vals))
+    best = float(vals[raw_best])
+    if np.ptp(vals) <= 8.0 * _EPS * float(np.abs(c).sum()):
+        return best, step * raw_best
 
-    reps = _bracket_centers(vals, cap=max(16, 4 * c.size))
+    bound = best / math.sqrt(1.0 - (math.pi * degree / n) ** 2 / 2.0)
+    slack = 0.5 * (degree * bound * step / 2.0) ** 2
+    reps = _bracket_centers(vals, vals * vals + slack >= best * best)
     lo = (reps - 1) * step
     hi = (reps + 1) * step
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1 = _modulus_at(c, x1)
+    f2 = _modulus_at(c, x2)
     while float(np.max(hi - lo)) > resolution:
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        f1 = _modulus_at(c, m1)
-        f2 = _modulus_at(c, m2)
-        smaller = f1 < f2
-        lo = np.where(smaller, m1, lo)
-        hi = np.where(smaller, hi, m2)
+        left = f1 >= f2  # a maximum lies in [lo, x2]
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        # the kept interior point is reused; only the new golden point is evaluated
+        probe = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        fprobe = _modulus_at(c, probe)
+        x1, f1, x2, f2 = (
+            np.where(left, probe, x2), np.where(left, fprobe, f2),
+            np.where(left, x1, probe), np.where(left, f1, fprobe),
+        )
     mid = 0.5 * (lo + hi)
     fmid = _modulus_at(c, mid)
-    best = int(np.argmax(fmid))
+    top = int(np.argmax(fmid))
 
-    if vals[raw_best] >= fmid[best]:
-        return float(vals[raw_best]), float(step * raw_best)
-    return float(fmid[best]), float(math.fmod(mid[best], 2.0 * math.pi))
+    if best >= fmid[top]:
+        return best, step * raw_best
+    return float(fmid[top]), float(mid[top] % _TWO_PI)
 
 
 def max_modulus(coeffs, grid: int = DEFAULT_GRID) -> float:

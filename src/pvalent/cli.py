@@ -321,7 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--beta", type=parse_angle, default=0.0, help="phase twist for g")
     check_p.add_argument("--delta", type=float, required=True, help="neighborhood radius")
     check_p.add_argument("--phi", type=parse_angle, default=None, help="alignment slope (nec-*)")
-    check_p.add_argument("--grid", type=int, default=DEFAULT_GRID, help="boundary samples")
+    check_p.add_argument(
+        "--grid",
+        type=int,
+        default=DEFAULT_GRID,
+        help="minimum boundary samples (8 to 2^22), doubled until there are "
+        "at least 8 per unit of degree",
+    )
     check_p.add_argument(
         "--tolerance", type=float, default=1e-8, help="alignment tolerance in radians"
     )

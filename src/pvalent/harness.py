@@ -6,9 +6,10 @@ are independent and could be evaluated in any order (or in parallel) without
 changing a report.
 
 The oracles are deliberately separate routes from the production code they
-check: boundary suprema are re-computed by dense FFT sampling instead of
-Horner evaluation plus ternary refinement, and operator weights are
-re-computed in exact big-integer rationals instead of floating point.
+check: boundary suprema are re-computed by dense sampling of the folded
+coefficients alone, with none of the production path's bracket pruning or
+refinement by direct evaluation, and operator weights are re-computed in
+exact big-integer rationals instead of floating point.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ from pvalent import (
     max_modulus_on_circle,
     sup_oracle,
 )
+from pvalent.circlemax import MAX_GRID
+
+ORACLE_POINTS = 1 << 20
 
 
 def test_constant_polynomial():
@@ -55,6 +58,8 @@ def test_rejects_small_grid():
     with pytest.raises(DomainError):
         max_modulus_on_circle(np.array([1.0, 1.0]), grid=7)
     with pytest.raises(DomainError):
+        max_modulus_on_circle(np.array([1.0, 1.0]), grid=MAX_GRID + 1)
+    with pytest.raises(DomainError):
         sup_oracle(np.array([1.0]), 0)
 
 
@@ -85,3 +90,58 @@ def test_oracle_folding_matches_direct_evaluation():
         abs(sum(ck * np.exp(1j * e * t) for e, ck in enumerate(c))) for t in angles
     )
     assert abs(sup_oracle(c, grid) - direct) < 1e-9
+
+
+def _random_poly(seed: int, degree: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+
+
+def _assert_enclosed(value: float, c: np.ndarray) -> None:
+    # |P|^2 is a trigonometric polynomial of degree d, so Bernstein's
+    # inequality bounds the true supremum by oracle / sqrt(1 - (pi d/N)^2/2)
+    oracle = sup_oracle(c, ORACLE_POINTS)
+    degree = c.size - 1
+    upper = oracle / math.sqrt(1.0 - (degree * math.pi / ORACLE_POINTS) ** 2 / 2.0)
+    assert oracle * (1.0 - 1e-6) <= value <= upper * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_coarse_grid_below_degree_is_not_low(seed):
+    # grid 64 under degree 200 used to read 5.5 % (seed 0) and 10.6 % (seed 1) low
+    c = _random_poly(seed, 200)
+    value, _ = max_modulus_on_circle(c, grid=64)
+    _assert_enclosed(value, c)
+
+
+def _direct_modulus(c, theta: float) -> float:
+    terms = (ck * complex(math.cos(k * theta), math.sin(k * theta)) for k, ck in enumerate(c))
+    return abs(sum(terms))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7, 64, 255, 2048])
+def test_enclosure_and_direct_value_over_grids(degree):
+    c = _random_poly(degree, degree)
+    scale = float(np.abs(c).sum())
+    for grid in (8, 64, 1000, 4096):
+        value, theta = max_modulus_on_circle(c, grid=grid)
+        _assert_enclosed(value, c)
+        # never below the requested grid's samples; the two FFT lengths round apart
+        assert value >= sup_oracle(c, grid) - 4 * np.finfo(float).eps * scale
+        assert 0.0 <= theta < 2.0 * math.pi
+        # the value is |P| at the returned angle, summed term by term without an FFT
+        assert abs(value - _direct_modulus(c, theta)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_monomial_takes_the_flat_exit(k):
+    c = np.zeros(k + 1, dtype=complex)
+    c[k] = 0.6 - 0.8j
+    value, _ = max_modulus_on_circle(c, grid=1 << 16)
+    assert abs(value - 1.0) < 1e-14
+
+
+def test_tiny_variation_is_not_flat():
+    value, theta = max_modulus_on_circle(np.array([1.0, 1e-9]))
+    assert abs(value - (1.0 + 1e-9)) <= 1e-15 * (1.0 + 1e-9)
+    assert min(theta, 2 * math.pi - theta) < 1e-6

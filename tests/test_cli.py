@@ -140,6 +140,18 @@ def test_check_inadmissible_delta(tmp_path):
     assert result.returncode == 3
 
 
+def test_check_oversized_grid_is_a_domain_error(tmp_path):
+    # an unbounded grid used to die in numpy with a traceback and exit 1 ("fails")
+    f = write_json(tmp_path / "f.json", IDENTITY_FILE)
+    g = write_json(tmp_path / "g.json", {"p": 1, "n": 1, "coefficients": [[0.25, 0.0]]})
+    result = run_cli(
+        "check", f, g, "--criterion", "thm211", "--delta", "2.5", "--grid", "100000000000"
+    )
+    assert result.returncode == 3, result.stderr
+    assert "grid must be at most" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_check_nec_requires_phi(tmp_path):
     src = write_json(tmp_path / "f.json", IDENTITY_FILE)
     result = run_cli(
