@@ -15,7 +15,10 @@ pi-forms need the ``--alpha=-pi*0.5`` spelling so the shell parser does not
 mistake them for flags.
 
 Exit codes: 0 the checked statement holds (or the command succeeded),
-1 it fails, 2 usage or parse error, 3 domain violation.
+1 it fails, 2 usage or parse error, 3 domain violation (including operator
+weights too large for a float and ``construct -K`` above
+``criteria.MAX_TRUNC``), 4 internal error: any other exception, reported
+as one ``error:`` line without a traceback.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_INTERNAL = 4
 
 CRITERIA = ("suff-n", "suff-m", "member-n", "member-m", "nec-n", "nec-m", "thm211")
 
@@ -277,9 +281,10 @@ def cmd_construct(args) -> int:
     g, op = load_function_file(args.g)
     nb = NeighborhoodParams(args.alpha, args.beta, args.delta)
     partner = criteria.telescoping_partner(g, op, nb, args.trunc)
-    doc = function_file_document(partner, op)
-    print(json.dumps(doc, indent=2))
-    _write_document(doc, args.out)
+    text = json.dumps(function_file_document(partner, op), indent=2)
+    print(text)
+    if args.out is not None:
+        args.out.write_text(text + "\n", encoding="utf-8")
     return EXIT_HOLDS
 
 
@@ -341,7 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     cons_p.add_argument("--delta", type=float, required=True)
     cons_p.add_argument("--alpha", type=parse_angle, default=0.0)
     cons_p.add_argument("--beta", type=parse_angle, default=0.0)
-    cons_p.add_argument("-K", "--trunc", type=int, required=True, help="truncation order")
+    cons_p.add_argument(
+        "-K",
+        "--trunc",
+        type=int,
+        required=True,
+        help=f"truncation order (at most {criteria.MAX_TRUNC})",
+    )
     cons_p.add_argument("--out", type=Path)
     cons_p.set_defaults(func=cmd_construct)
 
@@ -369,6 +380,9 @@ def main(argv=None) -> int:
     except (DomainError, HypothesisViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as exc:  # a crash must never read as "the statement fails"
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

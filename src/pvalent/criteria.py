@@ -27,7 +27,6 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -52,6 +51,9 @@ logger = logging.getLogger(__name__)
 #: Strict margin applied when validating delta against its lower bound,
 #: so that instances sitting exactly on the bound never flap.
 ADMISSIBILITY_MARGIN = 1e-12
+
+#: Largest truncation order `telescoping_partner` builds.
+MAX_TRUNC = 2**20
 
 _FALSIFICATION_NOTE = "falsification: hypotheses verified but the guaranteed conclusion failed"
 
@@ -187,23 +189,29 @@ def _value_side_notes(delta: float, p: int, m: int, alpha: float, beta: float) -
 # ---------------------------------------------------------------------------
 
 
+def _indices(f: MultivalentFunction, g: MultivalentFunction) -> range:
+    """Perturbation indices k over the union of the two supports."""
+    return range(f.n, max(f.truncation_order, g.truncation_order) + 1)
+
+
 def _twisted_differences(
     f: MultivalentFunction, g: MultivalentFunction, alpha: float, beta: float
-) -> list[tuple[int, complex]]:
-    """(k, e^{i alpha} a_{k+p} - e^{i beta} b_{k+p}) over the union of supports.
+) -> list[complex]:
+    """e^{i alpha} a_{k+p} - e^{i beta} b_{k+p} for each k in `_indices(f, g)`.
 
     The shorter coefficient list is implicitly zero-extended.
     """
     ua = cmath.exp(1j * alpha)
     ub = cmath.exp(1j * beta)
-    top = max(f.truncation_order, g.truncation_order)
-    return [
-        (k, ua * f.coefficient(k) - ub * g.coefficient(k)) for k in range(f.n, top + 1)
-    ]
+    size = len(_indices(f, g))
+    a = f.coeffs + (0j,) * (size - len(f.coeffs))
+    b = g.coeffs + (0j,) * (size - len(g.coeffs))
+    return [ua * x - ub * y for x, y in zip(a, b)]
 
 
-def _weighted_sum(diffs, weight) -> float:
-    return math.fsum(weight(k) * abs(d) for k, d in diffs)
+def _weighted_sum(weights, values) -> float:
+    """sum_k w_k |v_k|, rounded once."""
+    return math.fsum(w * abs(v) for w, v in zip(weights, values))
 
 
 def sufficient_n(
@@ -223,7 +231,7 @@ def sufficient_n(
     bound = delta_lower_bound_n(f.p, op.m, nb.alpha, nb.beta)
     _require_admissible(nb.delta, bound, "derivative-side")
     diffs = _twisted_differences(f, g, nb.alpha, nb.beta)
-    lhs = _weighted_sum(diffs, lambda k: blend_derivative_weight(k, f.p, op))
+    lhs = _weighted_sum(blend_derivative_weight(_indices(f, g), f.p, op), diffs)
     thr = nb.delta - bound
     return Verdict(lhs <= thr, lhs, thr)
 
@@ -241,7 +249,7 @@ def sufficient_m(
     _require_admissible(nb.delta, bound, "value-side")
     notes = _value_side_notes(nb.delta, f.p, op.m, nb.alpha, nb.beta)
     diffs = _twisted_differences(f, g, nb.alpha, nb.beta)
-    lhs = _weighted_sum(diffs, lambda k: blend_weight(k, f.p, op))
+    lhs = _weighted_sum(blend_weight(_indices(f, g), f.p, op), diffs)
     thr = nb.delta - bound
     return Verdict(lhs <= thr, lhs, thr, notes=notes)
 
@@ -254,8 +262,7 @@ def _check_modulus_alignment(
 ) -> None:
     """Require arg(a_{k+p}) - arg(b_{k+p}) = beta - alpha wherever both are nonzero."""
     expected = nb.beta - nb.alpha
-    top = max(f.truncation_order, g.truncation_order)
-    for k in range(f.n, top + 1):
+    for k in _indices(f, g):
         a = f.coefficient(k)
         b = g.coefficient(k)
         if a == 0 or b == 0:
@@ -266,6 +273,11 @@ def _check_modulus_alignment(
                 f"argument alignment arg(a)-arg(b)=beta-alpha fails at index k={k}: "
                 f"off by {gap!r} rad (tolerance {align.tolerance!r})"
             )
+
+
+def _modulus_differences(f: MultivalentFunction, g: MultivalentFunction) -> list[float]:
+    """|a_{k+p}| - |b_{k+p}| for each k in `_indices(f, g)`."""
+    return [abs(f.coefficient(k)) - abs(g.coefficient(k)) for k in _indices(f, g)]
 
 
 def sufficient_n_modulus(
@@ -286,11 +298,8 @@ def sufficient_n_modulus(
     bound = delta_lower_bound_n(f.p, op.m, nb.alpha, nb.beta)
     _require_admissible(nb.delta, bound, "derivative-side")
     _check_modulus_alignment(f, g, nb, align)
-    top = max(f.truncation_order, g.truncation_order)
-    lhs = math.fsum(
-        blend_derivative_weight(k, f.p, op)
-        * abs(abs(f.coefficient(k)) - abs(g.coefficient(k)))
-        for k in range(f.n, top + 1)
+    lhs = _weighted_sum(
+        blend_derivative_weight(_indices(f, g), f.p, op), _modulus_differences(f, g)
     )
     thr = nb.delta - bound
     return Verdict(lhs <= thr, lhs, thr)
@@ -310,11 +319,7 @@ def sufficient_m_modulus(
     _require_admissible(nb.delta, bound, "value-side")
     notes = _value_side_notes(nb.delta, f.p, op.m, nb.alpha, nb.beta)
     _check_modulus_alignment(f, g, nb, align)
-    top = max(f.truncation_order, g.truncation_order)
-    lhs = math.fsum(
-        blend_weight(k, f.p, op) * abs(abs(f.coefficient(k)) - abs(g.coefficient(k)))
-        for k in range(f.n, top + 1)
-    )
+    lhs = _weighted_sum(blend_weight(_indices(f, g), f.p, op), _modulus_differences(f, g))
     thr = nb.delta - bound
     return Verdict(lhs <= thr, lhs, thr, notes=notes)
 
@@ -397,7 +402,7 @@ def _check_necessity_hypotheses(
     op: OperatorParams,
     nb: NeighborhoodParams,
     align: ArgAlignment,
-) -> list[tuple[int, complex]]:
+) -> list[complex]:
     _require_compatible(f, g)
     op.require_valence(f.p)
     if not (0.0 <= nb.alpha < nb.beta <= math.pi):
@@ -406,7 +411,7 @@ def _check_necessity_hypotheses(
             f"got alpha={nb.alpha!r}, beta={nb.beta!r}"
         )
     diffs = _twisted_differences(f, g, nb.alpha, nb.beta)
-    for k, d in diffs:
+    for k, d in zip(_indices(f, g), diffs):
         if d == 0:
             continue
         gap = wrap_angle(cmath.phase(d) - k * align.phi)
@@ -453,7 +458,7 @@ def necessary_n(
             "derivative-side",
         )
         notes = ("membership hypothesis assumed, not verified by this call",)
-    lhs = _weighted_sum(diffs, lambda k: blend_derivative_weight(k, f.p, op))
+    lhs = _weighted_sum(blend_derivative_weight(_indices(f, g), f.p, op), diffs)
     thr = nb.delta - falling_factorial(f.p, op.m + 1) * (
         math.cos(nb.alpha) - math.cos(nb.beta)
     )
@@ -500,7 +505,7 @@ def necessary_m(
             nb.delta, delta_lower_bound_m(f.p, op.m, nb.alpha, nb.beta), "value-side"
         )
         notes = ("membership hypothesis assumed, not verified by this call",)
-    lhs = _weighted_sum(diffs, lambda k: blend_weight(k, f.p, op))
+    lhs = _weighted_sum(blend_weight(_indices(f, g), f.p, op), diffs)
     thr = nb.delta + falling_factorial(f.p, op.m + 1) * (
         math.cos(nb.beta) - math.cos(nb.alpha)
     )
@@ -539,6 +544,12 @@ def telescoping_partner(
     with T the derivative-side admissibility bound, so that each term of the
     derivative-side sufficient sum equals (n+p-1)(delta-T)/((k+p)(k+p-1)) and
     the truncated sum is (n+p-1)(delta-T)[1/(n+p-1) - 1/(trunc+p)].
+
+    The factorial ratio (k+p-m)!/(k+p-1)! is k+p for m = 0 and
+    1/falling_factorial(k+p-1, m-1) for m >= 1, so each coefficient costs
+    O(m + omega) small-integer products and the whole partner O(trunc).  The
+    rational core is one exact integer division, rounded once.  A `trunc`
+    above `MAX_TRUNC` is a DomainError.
     """
     op.require_valence(g.p)
     p, n, m = g.p, g.n, op.m
@@ -550,6 +561,8 @@ def telescoping_partner(
     trunc = int(trunc)
     if trunc < n:
         raise DomainError(f"truncation order {trunc} must be at least n={n}")
+    if trunc > MAX_TRUNC:
+        raise DomainError(f"truncation order {trunc} exceeds the maximum {MAX_TRUNC}")
     if g.truncation_order > trunc:
         raise DomainError(
             f"g stores coefficients up to k={g.truncation_order}, beyond trunc={trunc}"
@@ -558,17 +571,17 @@ def telescoping_partner(
     phase = cmath.exp(-1j * nb.alpha)
     twist = cmath.exp(1j * (nb.beta - nb.alpha))
     base = p - m
+    scale = base**op.omega * (n + p - 1)
     coeffs = []
     for k in range(n, trunc + 1):
-        # exact rational core; the two float multiplies after it round once each
-        rational = Fraction(
-            base**op.omega * math.factorial(k + p - m) * (n + p - 1),
-            (k + p - m) ** (op.omega + 1)
-            * math.factorial(k + p - 1)
-            * (k + p) ** 2
-            * (k + p - 1),
-        )
-        core = float(rational) * excess / (1.0 + op.lam * k / base)
+        den = (k + p - m) ** (op.omega + 1) * (k + p) ** 2 * (k + p - 1)
+        if m == 0:
+            num = scale * (k + p)
+        else:
+            num = scale
+            den *= falling_factorial(k + p - 1, m - 1)
+        # exact integer division rounds once; the two float operations after it once each
+        core = (num / den) * excess / (1.0 + op.lam * k / base)
         coeffs.append(core * phase + twist * g.coefficient(k))
     return MultivalentFunction(p, n, tuple(coeffs))
 

@@ -152,17 +152,16 @@ def generate_pair(spec: InstanceSpec, target: str = "unconstrained"):
 
     if target != "unconstrained":
         if target == "inside_sufficient_n":
-            weight = lambda k: blend_derivative_weight(k, spec.p, op)
+            weight = blend_derivative_weight
             radical = strict_bound
         else:
-            weight = lambda k: blend_weight(k, spec.p, op)
+            weight = blend_weight
             radical = criteria.delta_lower_bound_m(spec.p, spec.m, alpha, beta)
         threshold = delta - radical
         if threshold <= 0.0:
             raise DomainError("unsatisfiable target: forced threshold is nonpositive")
-        mass = math.fsum(
-            weight(k) * abs(d[k - spec.n]) for k in range(spec.n, spec.trunc + 1)
-        )
+        weights = weight(range(spec.n, spec.trunc + 1), spec.p, op)
+        mass = math.fsum(w * abs(x) for w, x in zip(weights, d))
         if mass == 0.0:
             raise DomainError("degenerate draw: all difference coefficients vanish")
         d = d * (fraction * threshold / mass)
@@ -193,10 +192,8 @@ def generate_transfer_pair(spec: InstanceSpec):
     radical = criteria.delta_lower_bound_n(spec.p, spec.m, alpha, beta)
     reach = spec.p + spec.n - spec.m
     delta = (2.0 * radical + excess) / reach
-    mass = math.fsum(
-        blend_derivative_weight(k, spec.p, op) * abs(d[k - spec.n])
-        for k in range(spec.n, spec.trunc + 1)
-    )
+    weights = blend_derivative_weight(range(spec.n, spec.trunc + 1), spec.p, op)
+    mass = math.fsum(w * abs(x) for w, x in zip(weights, d))
     if mass == 0.0:
         raise DomainError("degenerate draw: all difference coefficients vanish")
     d = d * (fraction * excess / mass)

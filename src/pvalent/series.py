@@ -239,20 +239,54 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def blend_weight(k: int, p: int, params: OperatorParams) -> float:
-    """Weight multiplying a_{k+p} in the blended operator image (value side)."""
-    base = p - params.m
+def _weight_pass(ks: range, p: int, params: OperatorParams, derivative: bool) -> list[float]:
+    """Value-side (or derivative-side) weights for every k in `ks`, in one pass.
+
+    Each weight divides the exact integers (k+p)!/(k+p-m)! (k+p-m)^omega and
+    (p-m)^omega, so it rounds once, then applies the blend factor (and the
+    derivative factor k+p-m) in that order.  A weight too large for a float
+    is a DomainError, never an OverflowError or an infinite weight.
+    """
+    m, omega, lam = params.m, params.omega, params.lam
+    base = p - m
     if base < 1:
-        raise DomainError(f"blend_weight needs p > m, got p={p}, m={params.m}")
-    num = falling_factorial(k + p, params.m) * (k + p - params.m) ** params.omega
-    den = base**params.omega
-    # num/den divides two exact integers, so it rounds once
-    return (num / den) * (1.0 + params.lam * k / base)
+        raise DomainError(f"operator weights need p > m, got p={p}, m={m}")
+    den = base**omega
+    perm = math.perm
+    try:
+        out = [
+            (perm(k + p, m) * (k + p - m) ** omega / den) * (1.0 + lam * k / base) for k in ks
+        ]
+        if derivative:
+            out = [w * (k + p - m) for k, w in zip(ks, out)]
+        if not out or max(out) < math.inf:
+            return out
+    except OverflowError:
+        pass
+    raise DomainError(f"operator weight overflows a float (p={p}, m={m}, Omega={omega})")
 
 
-def blend_derivative_weight(k: int, p: int, params: OperatorParams) -> float:
-    """Weight multiplying a_{k+p} in the normalised derivative of the image."""
-    return blend_weight(k, p, params) * (k + p - params.m)
+def blend_weight(k: int | range, p: int, params: OperatorParams) -> float | list[float]:
+    """Weight multiplying a_{k+p} in the blended operator image (value side).
+
+    Given a range of indices instead of one, returns the list of their
+    weights, computed in one pass.
+    """
+    if isinstance(k, range):
+        return _weight_pass(k, p, params, derivative=False)
+    return _weight_pass(range(k, k + 1), p, params, derivative=False)[0]
+
+
+def blend_derivative_weight(
+    k: int | range, p: int, params: OperatorParams
+) -> float | list[float]:
+    """Weight multiplying a_{k+p} in the normalised derivative of the image.
+
+    Equal to (k+p-m) times `blend_weight`; a range of indices gives a list.
+    """
+    if isinstance(k, range):
+        return _weight_pass(k, p, params, derivative=True)
+    return _weight_pass(range(k, k + 1), p, params, derivative=True)[0]
 
 
 def exact_blend_weight(k: int, p: int, params: OperatorParams) -> Fraction:
@@ -323,24 +357,27 @@ def salagean_iterate(s: TruncatedSeries, order: int, p: int, m: int) -> Truncate
     return TruncatedSeries(s.lead_exp, s.lead_coeff * (base**order / den), scaled)
 
 
+def _weighted_tail(f: MultivalentFunction, weight, params: OperatorParams, shift: int):
+    """((k + shift, w_k a_{k+p}) for k in the support of f), weights in one pass."""
+    ks = f.support()
+    return tuple(
+        (k + shift, w * c) for k, w, c in zip(ks, weight(ks, f.p, params), f.coeffs)
+    )
+
+
 def salagean_blend(f: MultivalentFunction, params: OperatorParams) -> TruncatedSeries:
     """The blended operator image of f^(m), computed directly from the weights."""
     params.require_valence(f.p)
     p, m = f.p, params.m
     lead = float(falling_factorial(p, m))
-    tail = tuple(
-        (k + p - m, blend_weight(k, p, params) * f.coefficient(k)) for k in f.support()
-    )
-    return TruncatedSeries(p - m, lead, tail)
+    return TruncatedSeries(p - m, lead, _weighted_tail(f, blend_weight, params, p - m))
 
 
 def blend_normalized(f: MultivalentFunction, params: OperatorParams) -> TruncatedSeries:
     """Blended image divided by z^{p-m}: a polynomial with constant term p!/(p-m)!."""
     params.require_valence(f.p)
-    p, m = f.p, params.m
-    lead = float(falling_factorial(p, m))
-    tail = tuple((k, blend_weight(k, p, params) * f.coefficient(k)) for k in f.support())
-    return TruncatedSeries(0, lead, tail)
+    lead = float(falling_factorial(f.p, params.m))
+    return TruncatedSeries(0, lead, _weighted_tail(f, blend_weight, params, 0))
 
 
 def blend_derivative_normalized(
@@ -352,13 +389,8 @@ def blend_derivative_normalized(
     (k+p-m) W(k) a_{k+p}.  Requires p > m so that p - m - 1 >= 0.
     """
     params.require_valence(f.p)
-    p, m = f.p, params.m
-    lead = float(falling_factorial(p, m + 1))
-    tail = tuple(
-        (k, blend_derivative_weight(k, p, params) * f.coefficient(k))
-        for k in f.support()
-    )
-    return TruncatedSeries(0, lead, tail)
+    lead = float(falling_factorial(f.p, params.m + 1))
+    return TruncatedSeries(0, lead, _weighted_tail(f, blend_derivative_weight, params, 0))
 
 
 def evaluate(s: TruncatedSeries, z: complex) -> complex:

@@ -152,6 +152,43 @@ def test_check_oversized_grid_is_a_domain_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+HUGE_OMEGA_FILE = {
+    "p": 1,
+    "n": 1,
+    "Omega": 600,
+    "coefficients": [[0.1, 0.0]] * 5,
+}
+
+
+def test_weight_overflow_is_a_domain_error(tmp_path):
+    # 6^600 overflows a float: this used to be an OverflowError traceback and exit 1
+    src = write_json(tmp_path / "f.json", HUGE_OMEGA_FILE)
+    runs = [
+        run_cli("apply", src),
+        run_cli("check", src, src, "--criterion", "suff-m", "--delta", "1.0"),
+        run_cli("check", src, src, "--criterion", "member-m", "--delta", "1.0"),
+    ]
+    for result in runs:
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("error: operator weight overflows a float")
+        assert "Traceback" not in result.stderr
+
+
+def test_unexpected_exception_exits_four(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SRC))
+    from pvalent import cli, criteria
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(criteria, "sufficient_n", crash)
+    src = write_json(tmp_path / "f.json", IDENTITY_FILE)
+    code = cli.main(["check", str(src), str(src), "--criterion", "suff-n", "--delta", "1.0"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
 def test_check_nec_requires_phi(tmp_path):
     src = write_json(tmp_path / "f.json", IDENTITY_FILE)
     result = run_cli(
@@ -234,6 +271,22 @@ def test_construct_degenerate_delta(tmp_path):
     g = write_json(tmp_path / "g.json", {"p": 1, "n": 1, "coefficients": []})
     result = run_cli("construct", g, "--delta", "1.0", "--beta", "pi*1", "-K", "10")
     assert result.returncode == 3
+
+
+def test_construct_oversized_truncation_is_a_domain_error(tmp_path):
+    g = write_json(tmp_path / "g.json", {"p": 1, "n": 1, "coefficients": []})
+    result = run_cli("construct", g, "--delta", "2.0", "-K", str(2**20 + 1))
+    assert result.returncode == 3, result.stderr
+    assert "exceeds the maximum 1048576" in result.stderr
+    assert result.stdout == ""
+
+
+def test_construct_out_file_matches_stdout(tmp_path):
+    g = write_json(tmp_path / "g.json", {"p": 3, "n": 2, "m": 1, "coefficients": [[0.1, 0.2]]})
+    out = tmp_path / "partner.json"
+    result = run_cli("construct", g, "--delta", "30.0", "-K", "9", "--out", out)
+    assert result.returncode == 0, result.stderr
+    assert out.read_text(encoding="utf-8") == result.stdout
 
 
 def test_construct_preserves_real_positive_coefficients(tmp_path):

@@ -36,6 +36,7 @@ from pvalent import (
     threshold_n,
     transfer_check,
 )
+from pvalent.criteria import MAX_TRUNC
 
 SQRT2 = math.sqrt(2.0)
 
@@ -398,6 +399,65 @@ def test_partner_telescoping_partial_sums_exact():
             for k in range(n, 201):
                 acc += Fraction(1, (k + p - 1) * (k + p))
             assert acc == Fraction(1, n + p - 1) - Fraction(1, 200 + p)
+
+
+def _factorial_partner_coeffs(g, op, nb, trunc):
+    """The partner's coefficients through the full factorial ratio, as a
+    Fraction; O(trunc^2), kept only as an oracle for the O(trunc) route."""
+    p, n, m = g.p, g.n, op.m
+    excess = nb.delta - delta_lower_bound_n(p, m, nb.alpha, nb.beta)
+    phase = cmath.exp(-1j * nb.alpha)
+    twist = cmath.exp(1j * (nb.beta - nb.alpha))
+    base = p - m
+    out = []
+    for k in range(n, trunc + 1):
+        rational = Fraction(
+            base**op.omega * math.factorial(k + p - m) * (n + p - 1),
+            (k + p - m) ** (op.omega + 1)
+            * math.factorial(k + p - 1)
+            * (k + p) ** 2
+            * (k + p - 1),
+        )
+        core = float(rational) * excess / (1.0 + op.lam * k / base)
+        out.append(core * phase + twist * g.coefficient(k))
+    return out
+
+
+def test_partner_matches_factorial_formula_bitwise():
+    rng = np.random.default_rng(11)
+    for p in range(1, 6):
+        for m in range(p):
+            for omega in range(4):
+                for n in range(1, 4):
+                    op = OperatorParams(lam=float(rng.uniform(0.0, 1.0)), m=m, omega=omega)
+                    coeffs = rng.normal(size=(3, 2)) @ np.array([1.0, 1j])
+                    g = MultivalentFunction(p, n, tuple(coeffs))
+                    nb = NeighborhoodParams(
+                        float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), 500.0
+                    )
+                    partner = telescoping_partner(g, op, nb, 120)
+                    assert list(partner.coeffs) == _factorial_partner_coeffs(g, op, nb, 120)
+
+
+@pytest.mark.parametrize("p, m, omega", [(1, 0, 2), (4, 2, 1)])
+def test_partner_sum_matches_closed_form_at_high_order(p, m, omega):
+    g = MultivalentFunction(p, 2, (0.3 - 0.1j, 0.05j))
+    op = OperatorParams(lam=0.6, m=m, omega=omega)
+    nb = NeighborhoodParams(0.2, -0.5, 300.0)
+    excess = nb.delta - delta_lower_bound_n(p, m, nb.alpha, nb.beta)
+    partner = telescoping_partner(g, op, nb, 3000)
+    assert partner.truncation_order == 3000
+    v = sufficient_n(partner, g, op, nb)
+    closed = partner_weighted_sum(p, 2, m, nb.delta, nb.alpha, nb.beta, 3000)
+    assert abs(v.lhs - closed) <= 1e-9 * excess
+    assert v.holds
+
+
+def test_partner_rejects_oversized_truncation():
+    g = MultivalentFunction(1, 1)
+    nb = NeighborhoodParams(0.0, 0.0, 2.0)
+    with pytest.raises(DomainError, match="maximum"):
+        telescoping_partner(g, plain_op(), nb, MAX_TRUNC + 1)
 
 
 def test_partner_rejects_degenerate_delta():

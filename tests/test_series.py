@@ -301,6 +301,62 @@ def test_weights_full_sweep_against_exact(lam):
                         assert abs(approx - float(exact)) <= 1e-12 * float(exact)
 
 
+def _per_k_weight(k, p, op):
+    """The per-index weight formula the one-pass vector replaced."""
+    base = p - op.m
+    num = falling_factorial(k + p, op.m) * (k + p - op.m) ** op.omega
+    return (num / base**op.omega) * (1.0 + op.lam * k / base)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weight_pass_matches_per_index_weights(seed):
+    """A range of indices gives, bit for bit, the per-index weights, and
+    each lies within 1e-12 relative of the exact rational value."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 9))
+    m = int(rng.integers(0, p))
+    omega = int(rng.integers(0, 5))
+    lam = float(rng.uniform(0.0, 1.0))
+    n = int(rng.integers(1, 4))
+    K = int(rng.integers(n, 3001)) if seed else 3000
+    op = OperatorParams(lam=lam, m=m, omega=omega)
+    ks = range(n, K + 1)
+    value = blend_weight(ks, p, op)
+    derivative = blend_derivative_weight(ks, p, op)
+    assert len(value) == len(derivative) == len(ks)
+    for k, w, wd in zip(ks, value, derivative):
+        assert w == blend_weight(k, p, op) == _per_k_weight(k, p, op)
+        assert wd == blend_derivative_weight(k, p, op) == _per_k_weight(k, p, op) * (k + p - m)
+    for k in (ks[0], ks[len(ks) // 2], ks[-1]):
+        for approx, exact in (
+            (value[k - n], exact_blend_weight(k, p, op)),
+            (derivative[k - n], exact_blend_derivative_weight(k, p, op)),
+        ):
+            assert abs(approx - float(exact)) <= 1e-12 * float(exact)
+
+
+def test_weight_pass_empty_range():
+    assert blend_weight(range(3, 3), 2, OperatorParams()) == []
+    assert blend_derivative_weight(range(3, 3), 2, OperatorParams()) == []
+
+
+def test_weight_overflow_is_a_domain_error():
+    # 6^600 does not fit a float; the integer division used to raise OverflowError
+    op = OperatorParams(omega=600)
+    with pytest.raises(DomainError, match="overflows"):
+        blend_weight(5, 1, op)
+    with pytest.raises(DomainError, match="overflows"):
+        blend_weight(range(1, 6), 1, op)
+    with pytest.raises(DomainError, match="overflows"):
+        salagean_blend(MultivalentFunction(1, 1, (0.1,) * 5), op)
+    # the float factors after the exact division can overflow to inf as well
+    edge = OperatorParams(lam=1.0, omega=1)
+    big = 2**1023
+    assert math.isfinite(blend_weight(big - 1, 1, OperatorParams(omega=1)))
+    with pytest.raises(DomainError, match="overflows"):
+        blend_derivative_weight(big - 1, 1, edge)
+
+
 def test_exact_weight_values():
     op = OperatorParams(lam=0.5, m=1, omega=1)
     assert exact_blend_weight(1, 2, op) == Fraction(9)
