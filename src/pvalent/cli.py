@@ -14,16 +14,29 @@ are radians and accept an optional ``pi*`` prefix (``pi*0.5``); negative
 pi-forms need the ``--alpha=-pi*0.5`` spelling so the shell parser does not
 mistake them for flags.
 
+Loading validates the coefficient list in bulk: one pass over the entry
+types, one ``complex`` conversion and one finite check of the coefficients'
+sum, since any inf or nan makes the sum non-finite.  Only a list that fails
+this (or whose finite entries sum past the float range) is scanned entry by
+entry, to name the first bad index.  Output is built as one string per
+stream and written once; ``construct`` formats the partner without the
+pure-Python ``json`` indent encoder, byte for byte as ``json.dumps(doc,
+indent=2)`` would.
+
 Exit codes: 0 the checked statement holds (or the command succeeded),
-1 it fails, 2 usage or parse error, 3 domain violation (including operator
-weights too large for a float and ``construct -K`` above
-``criteria.MAX_TRUNC``), 4 internal error: any other exception, reported
-as one ``error:`` line without a traceback.
+1 it fails, 2 usage or parse error (including an unreadable function file
+and an ``--out`` path that cannot be written, reported as ``error: <path>:
+<reason>``), 3 domain violation (including operator weights too large for
+a float and ``construct -K`` above ``criteria.MAX_TRUNC``), 4 internal
+error: any other exception, reported as one ``error:`` line without a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import math
 import sys
@@ -57,7 +70,7 @@ class FunctionFileError(PValentError):
 
 
 class UsageError(PValentError):
-    """A flag combination the parser cannot catch (e.g. nec-* without --phi)."""
+    """A flag the parser cannot check: nec-* without --phi, an unwritable --out."""
 
 
 def parse_angle(text: str) -> float:
@@ -73,10 +86,58 @@ def parse_angle(text: str) -> float:
     return sign * float(t)
 
 
+# json.loads yields numbers of exactly these types; bool is not among them
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _is_finite_number(value) -> bool:
+    """An int or float, not a bool, that is finite as a float."""
+    if type(value) not in _NUMBER_TYPES:
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
+def _bulk_coefficients(raw: list) -> tuple[complex, ...] | None:
+    """The coefficients of a list of finite [re, im] pairs, else None.
+
+    None also when every entry is finite but their sum overflows; the
+    caller then scans the entries one by one.
+    """
+    if not raw:
+        return ()
+    if set(map(type, raw)) != {list} or set(map(len, raw)) != {2}:
+        return None
+    re, im = zip(*raw)
+    if not _NUMBER_TYPES.issuperset(map(type, re + im)):
+        return None
+    try:
+        coeffs = tuple(map(complex, re, im))
+    except OverflowError:
+        return None
+    return coeffs if cmath.isfinite(sum(coeffs)) else None
+
+
+def _scanned_coefficients(raw: list, path: Path) -> tuple[complex, ...]:
+    """Entry-by-entry check that names the first bad index."""
+    coeffs = []
+    for i, entry in enumerate(raw):
+        if not (
+            isinstance(entry, list) and len(entry) == 2 and all(map(_is_finite_number, entry))
+        ):
+            raise FunctionFileError(
+                f"{path}: coefficients[{i}]: expected a [re, im] pair of finite numbers"
+            )
+        coeffs.append(complex(entry[0], entry[1]))
+    return tuple(coeffs)
+
+
 def load_function_file(path: Path) -> tuple[MultivalentFunction, OperatorParams]:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FunctionFileError(f"{path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -84,6 +145,8 @@ def load_function_file(path: Path) -> tuple[MultivalentFunction, OperatorParams]
         raise FunctionFileError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep a nesting
+        raise FunctionFileError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FunctionFileError(f"{path}: top-level value must be an object")
 
@@ -102,29 +165,17 @@ def load_function_file(path: Path) -> tuple[MultivalentFunction, OperatorParams]
     m = integer("m", default=0)
     omega = integer("Omega", default=0)
     lam = doc.get("lambda", 0.0)
-    if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not math.isfinite(lam):
+    if not _is_finite_number(lam):
         raise FunctionFileError(f"{path}: key 'lambda' must be a finite number")
     raw = doc.get("coefficients", [])
     if not isinstance(raw, list):
         raise FunctionFileError(f"{path}: key 'coefficients' must be a list")
-    coeffs = []
-    for i, entry in enumerate(raw):
-        ok = (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                for v in entry
-            )
-        )
-        if not ok:
-            raise FunctionFileError(
-                f"{path}: coefficients[{i}]: expected a [re, im] pair of finite numbers"
-            )
-        coeffs.append(complex(entry[0], entry[1]))
+    coeffs = _bulk_coefficients(raw)
+    if coeffs is None:  # a bad entry, or finite entries whose sum overflows
+        coeffs = _scanned_coefficients(raw, path)
     try:
         return (
-            MultivalentFunction(p, n, tuple(coeffs)),
+            MultivalentFunction(p, n, coeffs),
             OperatorParams(lam=float(lam), m=m, omega=omega),
         )
     except DomainError as exc:
@@ -142,9 +193,32 @@ def function_file_document(f: MultivalentFunction, op: OperatorParams) -> dict:
     }
 
 
+def function_file_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)`` for a document of finite coefficients.
+
+    With `indent` set, `json` runs its pure-Python encoder; here only the
+    scalar keys go through it, and the coefficient block is one join of
+    float reprs, which is what `json` writes for finite floats.
+    """
+    head = json.dumps({**doc, "coefficients": []}, indent=2)
+    if not doc["coefficients"]:
+        return head
+    body = ",\n".join(
+        [f"    [\n      {re!r},\n      {im!r}\n    ]" for re, im in doc["coefficients"]]
+    )
+    return head.replace('"coefficients": []', f'"coefficients": [\n{body}\n  ]')
+
+
+def _write_text(out: Path, text: str) -> None:
+    try:
+        out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"{out}: {exc}") from exc
+
+
 def _write_document(doc: dict, out: Path | None) -> None:
     if out is not None:
-        out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        _write_text(out, json.dumps(doc, indent=2) + "\n")
 
 
 def _series_document(series: TruncatedSeries, prime: bool) -> dict:
@@ -166,10 +240,10 @@ def cmd_apply(args) -> int:
     series = (
         blend_derivative_normalized(f, op) if args.prime else salagean_blend(f, op)
     )
-    print("# exponent re im")
-    for e, c in series.terms():
-        print(f"{e} {c.real!r} {c.imag!r}")
-    _write_document(_series_document(series, args.prime), args.out)
+    rows = "".join([f"{e} {c.real!r} {c.imag!r}\n" for e, c in series.terms()])
+    sys.stdout.write("# exponent re im\n" + rows)
+    if args.out is not None:
+        _write_document(_series_document(series, args.prime), args.out)
     return EXIT_HOLDS
 
 
@@ -281,10 +355,10 @@ def cmd_construct(args) -> int:
     g, op = load_function_file(args.g)
     nb = NeighborhoodParams(args.alpha, args.beta, args.delta)
     partner = criteria.telescoping_partner(g, op, nb, args.trunc)
-    text = json.dumps(function_file_document(partner, op), indent=2)
-    print(text)
+    text = function_file_text(function_file_document(partner, op)) + "\n"
+    sys.stdout.write(text)
     if args.out is not None:
-        args.out.write_text(text + "\n", encoding="utf-8")
+        _write_text(args.out, text)
     return EXIT_HOLDS
 
 
@@ -300,7 +374,9 @@ def cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pvalent",
         description="Blended Salagean operators and neighborhood checks "

@@ -9,6 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -29,7 +33,7 @@ BLEND_FILE = {
 }
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, text=True):
     # The child finds pvalent through the absolute src path, so the CLI runs
     # from any working directory whether or not the package is installed.
     env = dict(os.environ)
@@ -37,7 +41,7 @@ def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "pvalent", *map(str, args)],
         capture_output=True,
-        text=True,
+        text=text,
         cwd=cwd,
         env=env,
     )
@@ -46,6 +50,16 @@ def run_cli(*args, cwd=None):
 def write_json(path: Path, doc) -> Path:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="module")
+def cli():
+    """The in-process CLI module, imported from this checkout's src."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(SRC))
+        from pvalent import cli
+
+        yield cli
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +111,53 @@ def test_apply_semantic_validation_messages(tmp_path):
     result = run_cli("apply", src)
     assert result.returncode == 2
     assert "coefficients[0]" in result.stderr
+
+
+HUGE_INT = "1" * 400  # a JSON integer beyond the float range
+
+
+def test_apply_huge_integer_literals_are_file_errors(tmp_path):
+    # these used to escape as an OverflowError: exit 4, "internal error"
+    cases = {
+        '"coefficients": [[0.5, 0], [1, %s]]' % HUGE_INT:
+            "coefficients[1]: expected a [re, im] pair of finite numbers",
+        '"lambda": -%s, "coefficients": []' % HUGE_INT:
+            "key 'lambda' must be a finite number",
+        # beyond json's 4300-digit limit on integer literals
+        '"coefficients": [[%s, 0]]' % ("9" * 5000): "Exceeds the limit (4300 digits)",
+    }
+    for i, (body, message) in enumerate(cases.items()):
+        src = tmp_path / f"f{i}.json"
+        src.write_text('{"p": 1, "n": 1, %s}' % body, encoding="utf-8")
+        result = run_cli("apply", src)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"error: {src}: {message}"), result.stderr
+
+
+def test_apply_non_utf8_file_is_a_file_error(tmp_path):
+    src = tmp_path / "f.json"
+    src.write_bytes(b'{"p": 1, "n": 1, "coefficients": [], "note": "\xff"}')
+    result = run_cli("apply", src)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: {src}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("apply", "{f}"),
+        ("check", "{f}", "{f}", "--criterion", "suff-n", "--delta", "1.0"),
+        ("construct", "{f}", "--delta", "2.0", "-K", "5"),
+    ],
+    ids=lambda command: command[0],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, command):
+    f = write_json(tmp_path / "f.json", IDENTITY_FILE)
+    out = tmp_path / "missing" / "out.json"
+    result = run_cli(*(arg.format(f=f) for arg in command), "--out", out)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: {out}: [Errno 2] No such file or directory")
+    assert "internal error" not in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +426,186 @@ def test_angle_parsing_round_trip(tmp_path):
     assert result.returncode == 0, result.stderr
     doc = json.loads(out.read_text())
     assert doc["beta"] == math.pi
+
+
+# ---------------------------------------------------------------------------
+# stdout bytes and the construct formatter
+# ---------------------------------------------------------------------------
+
+# k300_function.json holds K = 300 coefficients with -0.0, 5e-324, an entry
+# that apply --prime scales to 1e308 and integer-valued entries; the two
+# stdout files were written by the per-line print and json.dumps(indent=2)
+# code that the single-write output replaced.
+GOLDEN_FUNCTION = GOLDEN / "k300_function.json"
+
+
+def test_golden_apply_prime_stdout():
+    result = run_cli("apply", GOLDEN_FUNCTION, "--prime", text=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / "apply_prime_stdout.txt").read_bytes()
+
+
+def test_golden_construct_stdout(tmp_path):
+    out = tmp_path / "partner.json"
+    result = run_cli(
+        "construct", GOLDEN_FUNCTION, "--delta", "2.5", "-K", "300", "--out", out, text=False
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / "construct_stdout.json").read_bytes()
+    assert out.read_bytes() == result.stdout
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fixed_dictionaries({
+        "p": st.integers(1, 10**6),
+        "n": st.integers(1, 10**6),
+        "m": st.integers(0, 50),
+        "lambda": finite_floats,
+        "Omega": st.integers(0, 50),
+        "coefficients": st.lists(st.lists(finite_floats, min_size=2, max_size=2), max_size=20),
+    })
+)
+@example({"p": 1, "n": 1, "m": 0, "lambda": 0.0, "Omega": 0, "coefficients": []})
+@example({"p": 2, "n": 3, "m": 1, "lambda": -0.0, "Omega": 4,
+          "coefficients": [[-0.0, 5e-324], [1e308, -1.7976931348623157e308], [3.0, 0.1]]})
+def test_function_file_text_matches_json_dumps(cli, doc):
+    assert cli.function_file_text(doc) == json.dumps(doc, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# bulk loader against the per-entry loader
+# ---------------------------------------------------------------------------
+
+
+def oracle_load(cli, path: Path):
+    """The entry-by-entry loader the bulk check replaced, kept as the reference.
+
+    It differs from the original in one way: an integer beyond the float
+    range fails the finite check instead of escaping as OverflowError.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cli.FunctionFileError(f"{path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise cli.FunctionFileError(
+            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:
+        raise cli.FunctionFileError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise cli.FunctionFileError(f"{path}: top-level value must be an object")
+
+    def integer(key, default=None, minimum=0):
+        value = doc.get(key, default)
+        if value is None:
+            raise cli.FunctionFileError(f"{path}: missing required key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise cli.FunctionFileError(f"{path}: key {key!r} must be an integer")
+        if value < minimum:
+            raise cli.FunctionFileError(f"{path}: key {key!r} must be >= {minimum}")
+        return value
+
+    def finite(v):
+        try:
+            return math.isfinite(v)
+        except OverflowError:
+            return False
+
+    p = integer("p", minimum=1)
+    n = integer("n", minimum=1)
+    m = integer("m", default=0)
+    omega = integer("Omega", default=0)
+    lam = doc.get("lambda", 0.0)
+    if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not finite(lam):
+        raise cli.FunctionFileError(f"{path}: key 'lambda' must be a finite number")
+    raw = doc.get("coefficients", [])
+    if not isinstance(raw, list):
+        raise cli.FunctionFileError(f"{path}: key 'coefficients' must be a list")
+    coeffs = []
+    for i, entry in enumerate(raw):
+        ok = (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and finite(v)
+                for v in entry
+            )
+        )
+        if not ok:
+            raise cli.FunctionFileError(
+                f"{path}: coefficients[{i}]: expected a [re, im] pair of finite numbers"
+            )
+        coeffs.append(complex(entry[0], entry[1]))
+    try:
+        return (
+            cli.MultivalentFunction(p, n, tuple(coeffs)),
+            cli.OperatorParams(lam=float(lam), m=m, omega=omega),
+        )
+    except cli.DomainError as exc:
+        raise cli.FunctionFileError(f"{path}: {exc}") from exc
+
+
+def load_outcome(load, path: Path):
+    """A loaded file as bit patterns (so -0.0 != 0.0), or the error message."""
+    try:
+        f, op = load(path)
+    except Exception as exc:  # the type is part of the outcome
+        return type(exc).__name__, str(exc)
+    bits = [(c.real.hex(), c.imag.hex()) for c in f.coeffs]
+    return f.p, f.n, bits, op.m, op.omega, op.lam.hex()
+
+
+huge_ints = st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
+numbers = (
+    finite_floats
+    | st.integers(-(2**70), 2**70)
+    | huge_ints
+    | st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324, -0.0, 0])
+    | st.floats()  # NaN, Infinity and -Infinity become json's tokens
+)
+scalars = numbers | st.booleans() | st.none() | st.text(max_size=3)
+pairs = st.lists(numbers, min_size=2, max_size=2)
+entries = st.one_of(
+    pairs,
+    pairs,
+    st.lists(finite_floats, min_size=2, max_size=2),
+    st.lists(scalars, max_size=3),
+    scalars,
+    st.lists(st.lists(numbers, max_size=2), min_size=2, max_size=2),
+    st.dictionaries(st.text(max_size=2), numbers, max_size=1),
+)
+coefficient_values = (
+    st.lists(entries, max_size=12)
+    | st.lists(pairs, max_size=12)
+    | scalars
+    | st.dictionaries(st.text(max_size=2), scalars, max_size=2)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coefficients=coefficient_values, lam=st.sampled_from([0.5, 1, -0.0, True, "x"]) | numbers)
+@example(coefficients=[[1e308, 0], [1e308, 0]], lam=0.5)
+@example(coefficients=[[1e308, 1e308], [1e308, 1e308], [float("inf"), 0]], lam=0.5)
+@example(coefficients=[[-1e308, 0], [1e308, 0], [1e308, 0], [float("nan"), 0]], lam=0.5)
+@example(coefficients=[[0.5, 1], [True, 0.0]], lam=0.5)
+@example(coefficients=[[0.5, 1], [2, int("9" * 400)]], lam=int("1" * 400))
+def test_bulk_loader_matches_per_entry_oracle(cli, tmp_path_factory, coefficients, lam):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    doc = {"p": 2, "n": 1, "m": 1, "lambda": lam, "coefficients": coefficients}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    expected = load_outcome(lambda q: oracle_load(cli, q), path)
+    assert load_outcome(cli.load_function_file, path) == expected
+    assert expected[0] != "OverflowError"
+
+
+def test_finite_entries_whose_sum_overflows_load(cli, tmp_path):
+    path = write_json(tmp_path / "f.json", {"p": 1, "n": 1, "coefficients": [[1e308, 0]] * 2})
+    f, _ = cli.load_function_file(path)
+    assert f.coeffs == (1e308 + 0j, 1e308 + 0j)
