@@ -55,9 +55,7 @@ def _bracket_centers(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.array([run[np.argmax(values[run])] for run in runs])
 
 
-def max_modulus_on_circle(
-    coeffs, grid: int = DEFAULT_GRID, resolution: float = ANGLE_RESOLUTION
-) -> tuple[float, float]:
+def max_modulus_on_circle(coeffs, grid: int = DEFAULT_GRID) -> tuple[float, float]:
     """Return (max_t |p(e^{it})|, argmax t in [0, 2 pi)) for ascending `coeffs`.
 
     `grid` is the minimum coarse grid: it is doubled until it holds at least
@@ -70,7 +68,7 @@ def max_modulus_on_circle(
     vals[j]^2 + d^2 B^2 (step/2)^2 / 2, with B = best / sqrt(1 - (pi d/n)^2/2)
     bounding max |p| on a grid of n samples.  Only the sample maxima whose
     bound reaches the best sample are refined, by golden-section search,
-    until their brackets are narrower than `resolution`.  The reported
+    until their brackets are narrower than `ANGLE_RESOLUTION`.  The reported
     value is never below the best sample.  Grids below 8 or above 2^22
     points are rejected.
     """
@@ -104,7 +102,7 @@ def max_modulus_on_circle(
     x2 = lo + _INV_PHI * (hi - lo)
     f1 = _modulus_at(c, x1)
     f2 = _modulus_at(c, x2)
-    while float(np.max(hi - lo)) > resolution:
+    while float(np.max(hi - lo)) > ANGLE_RESOLUTION:
         left = f1 >= f2  # a maximum lies in [lo, x2]
         hi = np.where(left, x2, hi)
         lo = np.where(left, lo, x1)
@@ -122,9 +120,3 @@ def max_modulus_on_circle(
     if best >= fmid[top]:
         return best, step * raw_best
     return float(fmid[top]), float(mid[top] % _TWO_PI)
-
-
-def max_modulus(coeffs, grid: int = DEFAULT_GRID) -> float:
-    """Convenience wrapper returning only the boundary maximum."""
-    value, _ = max_modulus_on_circle(coeffs, grid)
-    return value

@@ -26,10 +26,10 @@ indent=2)`` would.
 Exit codes: 0 the checked statement holds (or the command succeeded),
 1 it fails, 2 usage or parse error (including an unreadable function file
 and an ``--out`` path that cannot be written, reported as ``error: <path>:
-<reason>``), 3 domain violation (including operator weights too large for
-a float and ``construct -K`` above ``criteria.MAX_TRUNC``), 4 internal
-error: any other exception, reported as one ``error:`` line without a
-traceback.
+<reason>``), 3 domain violation (including ``check`` files that differ in
+p or n, operator weights too large for a float and ``construct -K`` above
+``criteria.MAX_TRUNC``), 4 internal error: any other exception, reported
+as one ``error:`` line without a traceback.
 """
 
 from __future__ import annotations
@@ -247,17 +247,6 @@ def cmd_apply(args) -> int:
     return EXIT_HOLDS
 
 
-def _require_matching_files(ff, fop, gf, gop):
-    if ff.p != gf.p or ff.n != gf.n:
-        raise DomainError(
-            f"files disagree on (p, n): ({ff.p}, {ff.n}) vs ({gf.p}, {gf.n})"
-        )
-    if fop != gop:
-        raise DomainError(
-            f"files disagree on operator parameters: {fop} vs {gop}"
-        )
-
-
 def _print_verdict(label: str, verdict: criteria.Verdict) -> None:
     print(f"{label}holds     : {'yes' if verdict.holds else 'no'}")
     print(f"{label}lhs       : {verdict.lhs!r}")
@@ -268,10 +257,11 @@ def _print_verdict(label: str, verdict: criteria.Verdict) -> None:
 
 
 def cmd_check(args) -> int:
-    f, fop = load_function_file(args.f)
+    f, op = load_function_file(args.f)
     g, gop = load_function_file(args.g)
-    _require_matching_files(f, fop, g, gop)
-    op = fop
+    # the checks themselves require a shared (p, n)
+    if op != gop:
+        raise DomainError(f"files disagree on operator parameters: {op} vs {gop}")
     nb = NeighborhoodParams(args.alpha, args.beta, args.delta)
     doc = {
         "schema_version": SCHEMA_VERSION,

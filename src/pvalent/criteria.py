@@ -1,24 +1,27 @@
 """Neighborhood criteria for pairs of truncated p-valent functions.
 
-Two neighborhood families are implemented, distinguished by which image is
-compared on the disk.  The derivative-side family (functions suffixed
-``_n``) compares the normalised derivative of the blended operator image,
-B(f)'/z^{p-m-1}; the value-side family (``_m``) compares the normalised
-image B(f)/z^{p-m}.  For each family there is
+Two neighborhood families are implemented.  They differ in one number, the
+derivative order of the blended image B(f) they compare: order 1, the
+derivative side (functions suffixed ``_n``), compares B(f)'/z^{p-m-1};
+order 0, the value side (``_m``), compares B(f)/z^{p-m}.  A `Family` record
+holds that order, and the order alone picks the family's coefficient
+weight, its image and its admissibility bound
+p!/(p-m-order)! sqrt(2[1-cos(alpha-beta)]).  For each family there is
 
 * a definitional membership test: the boundary supremum of the twisted
   difference e^{i alpha} P_f - e^{i beta} P_g must stay strictly below
   delta,
 * a sufficient coefficient criterion: a weighted l1 sum of twisted
-  coefficient differences compared (inclusively) against delta minus a
-  phase-gap penalty,
+  coefficient differences compared (inclusively) against delta minus the
+  admissibility bound,
 * a necessity bound valid when the twisted coefficient differences have
   arguments aligned along k*phi and 0 <= alpha < beta <= pi.
 
-Sum criteria use <=, supremum tests use strict <.  Whenever a check whose
-hypotheses were verified numerically fails its guaranteed conclusion, the
-verdict is marked as a falsification event and logged loudly; that always
-means an implementation or tolerance defect, not new mathematics.
+The ``_n``/``_m`` entry points are one-line calls into one body per kind of
+check.  Sum criteria use <=, supremum tests use strict <.  Whenever a check
+whose hypotheses were verified numerically fails its guaranteed conclusion,
+the verdict is marked as a falsification event and logged loudly; that
+always means an implementation or tolerance defect, not new mathematics.
 """
 
 from __future__ import annotations
@@ -119,6 +122,51 @@ class ImplicationPair:
         return self.hypothesis.holds and not self.conclusion.holds
 
 
+@dataclass(frozen=True)
+class Family:
+    """A neighborhood family: its label and the derivative order of its image.
+
+    Order 1 is the derivative side, order 0 the value side.  The weight and
+    image functions are looked up when called, never stored, so a wrapper
+    put on this module's attributes sees every call.
+    """
+
+    label: str
+    order: int
+
+    def bound(self, p: int, m: int, alpha: float, beta: float) -> float:
+        """Admissibility bound p!/(p-m-order)! sqrt(2[1-cos(alpha-beta)])."""
+        if m < 0:
+            raise DomainError(f"derivative order m must be >= 0, got {m}")
+        if p <= m:
+            raise DomainError(f"valence p={p} must exceed derivative order m={m}")
+        return falling_factorial(p, m + self.order) * phase_gap_radical(alpha, beta)
+
+    def weights(self, ks: range, p: int, op: OperatorParams) -> list[float]:
+        """Coefficient weights (k+p-m)^order W(k) for every k in `ks`."""
+        return (blend_derivative_weight if self.order else blend_weight)(ks, p, op)
+
+    def image(self, f: MultivalentFunction, op: OperatorParams) -> TruncatedSeries:
+        """The order-th derivative of the blended image, normalised to a polynomial."""
+        return (blend_derivative_normalized if self.order else blend_normalized)(f, op)
+
+    def notes(self, nb: NeighborhoodParams, p: int, m: int) -> tuple[str, ...]:
+        """Value side only: flag a delta between the two published value-side bounds."""
+        if self.order:
+            return ()
+        strict = DERIVATIVE.bound(p, m, nb.alpha, nb.beta)
+        if nb.delta <= strict + ADMISSIBILITY_MARGIN:
+            return (
+                "delta clears only the weaker published value-side lower bound; "
+                f"the stricter derivative-style bound is {strict!r}",
+            )
+        return ()
+
+
+DERIVATIVE = Family("derivative-side", 1)
+VALUE = Family("value-side", 0)
+
+
 # ---------------------------------------------------------------------------
 # thresholds and admissibility bounds
 # ---------------------------------------------------------------------------
@@ -126,8 +174,7 @@ class ImplicationPair:
 
 def delta_lower_bound_n(p: int, m: int, alpha: float, beta: float) -> float:
     """Derivative-side admissibility bound p!/(p-m-1)! sqrt(2[1-cos(alpha-beta)])."""
-    _require_orders(p, m)
-    return falling_factorial(p, m + 1) * phase_gap_radical(alpha, beta)
+    return DERIVATIVE.bound(p, m, alpha, beta)
 
 
 def delta_lower_bound_m(p: int, m: int, alpha: float, beta: float) -> float:
@@ -138,8 +185,7 @@ def delta_lower_bound_m(p: int, m: int, alpha: float, beta: float) -> float:
     flags verdicts whose delta falls between the two; it does not decide
     which reading was intended.
     """
-    _require_orders(p, m)
-    return falling_factorial(p, m) * phase_gap_radical(alpha, beta)
+    return VALUE.bound(p, m, alpha, beta)
 
 
 def threshold_n(delta: float, alpha: float, beta: float, p: int, m: int) -> float:
@@ -150,13 +196,6 @@ def threshold_n(delta: float, alpha: float, beta: float, p: int, m: int) -> floa
 def threshold_m(delta: float, alpha: float, beta: float, p: int, m: int) -> float:
     """Sum threshold delta - p!/(p-m)! sqrt(2[1-cos(alpha-beta)]); may be negative."""
     return delta - delta_lower_bound_m(p, m, alpha, beta)
-
-
-def _require_orders(p: int, m: int) -> None:
-    if m < 0:
-        raise DomainError(f"derivative order m must be >= 0, got {m}")
-    if p <= m:
-        raise DomainError(f"valence p={p} must exceed derivative order m={m}")
 
 
 def _require_compatible(f: MultivalentFunction, g: MultivalentFunction) -> None:
@@ -173,15 +212,19 @@ def _require_admissible(delta: float, bound: float, label: str) -> None:
         )
 
 
-def _value_side_notes(delta: float, p: int, m: int, alpha: float, beta: float) -> tuple[str, ...]:
-    """Flag deltas sitting between the two published value-side bounds."""
-    strict = delta_lower_bound_n(p, m, alpha, beta)
-    if delta <= strict + ADMISSIBILITY_MARGIN:
-        return (
-            "delta clears only the weaker published value-side lower bound; "
-            f"the stricter derivative-style bound is {strict!r}",
-        )
-    return ()
+def _admitted_bound(
+    family: Family,
+    f: MultivalentFunction,
+    g: MultivalentFunction,
+    op: OperatorParams,
+    nb: NeighborhoodParams,
+) -> float:
+    """Check the pair, the operator and delta against `family`; return its bound."""
+    _require_compatible(f, g)
+    op.require_valence(f.p)
+    bound = family.bound(f.p, op.m, nb.alpha, nb.beta)
+    _require_admissible(nb.delta, bound, family.label)
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +257,52 @@ def _weighted_sum(weights, values) -> float:
     return math.fsum(w * abs(v) for w, v in zip(weights, values))
 
 
+def _aligned_modulus_differences(
+    f: MultivalentFunction,
+    g: MultivalentFunction,
+    nb: NeighborhoodParams,
+    align: ArgAlignment,
+) -> list[float]:
+    """|a_{k+p}| - |b_{k+p}| for each k in `_indices(f, g)`.
+
+    Requires arg(a_{k+p}) - arg(b_{k+p}) = beta - alpha wherever both are nonzero.
+    """
+    expected = nb.beta - nb.alpha
+    out = []
+    for k in _indices(f, g):
+        a = f.coefficient(k)
+        b = g.coefficient(k)
+        if a != 0 and b != 0:
+            gap = wrap_angle(cmath.phase(a) - cmath.phase(b) - expected)
+            if abs(gap) > align.tolerance:
+                raise HypothesisViolationError(
+                    f"argument alignment arg(a)-arg(b)=beta-alpha fails at index k={k}: "
+                    f"off by {gap!r} rad (tolerance {align.tolerance!r})"
+                )
+        out.append(abs(a) - abs(b))
+    return out
+
+
+def _sufficient(
+    family: Family,
+    f: MultivalentFunction,
+    g: MultivalentFunction,
+    op: OperatorParams,
+    nb: NeighborhoodParams,
+    align: ArgAlignment | None = None,
+) -> Verdict:
+    """The family's weighted sum against delta minus its bound; modulus form given `align`."""
+    bound = _admitted_bound(family, f, g, op, nb)
+    notes = family.notes(nb, f.p, op.m)
+    if align is None:
+        diffs = _twisted_differences(f, g, nb.alpha, nb.beta)
+    else:
+        diffs = _aligned_modulus_differences(f, g, nb, align)
+    lhs = _weighted_sum(family.weights(_indices(f, g), f.p, op), diffs)
+    thr = nb.delta - bound
+    return Verdict(lhs <= thr, lhs, thr, notes=notes)
+
+
 def sufficient_n(
     f: MultivalentFunction,
     g: MultivalentFunction,
@@ -226,14 +315,7 @@ def sufficient_n(
     compared inclusively against threshold_n.  Holding implies membership in
     the derivative-side neighborhood.
     """
-    _require_compatible(f, g)
-    op.require_valence(f.p)
-    bound = delta_lower_bound_n(f.p, op.m, nb.alpha, nb.beta)
-    _require_admissible(nb.delta, bound, "derivative-side")
-    diffs = _twisted_differences(f, g, nb.alpha, nb.beta)
-    lhs = _weighted_sum(blend_derivative_weight(_indices(f, g), f.p, op), diffs)
-    thr = nb.delta - bound
-    return Verdict(lhs <= thr, lhs, thr)
+    return _sufficient(DERIVATIVE, f, g, op, nb)
 
 
 def sufficient_m(
@@ -243,41 +325,7 @@ def sufficient_m(
     nb: NeighborhoodParams,
 ) -> Verdict:
     """Value-side sufficient criterion, with weight W(k) and threshold_m."""
-    _require_compatible(f, g)
-    op.require_valence(f.p)
-    bound = delta_lower_bound_m(f.p, op.m, nb.alpha, nb.beta)
-    _require_admissible(nb.delta, bound, "value-side")
-    notes = _value_side_notes(nb.delta, f.p, op.m, nb.alpha, nb.beta)
-    diffs = _twisted_differences(f, g, nb.alpha, nb.beta)
-    lhs = _weighted_sum(blend_weight(_indices(f, g), f.p, op), diffs)
-    thr = nb.delta - bound
-    return Verdict(lhs <= thr, lhs, thr, notes=notes)
-
-
-def _check_modulus_alignment(
-    f: MultivalentFunction,
-    g: MultivalentFunction,
-    nb: NeighborhoodParams,
-    align: ArgAlignment,
-) -> None:
-    """Require arg(a_{k+p}) - arg(b_{k+p}) = beta - alpha wherever both are nonzero."""
-    expected = nb.beta - nb.alpha
-    for k in _indices(f, g):
-        a = f.coefficient(k)
-        b = g.coefficient(k)
-        if a == 0 or b == 0:
-            continue
-        gap = wrap_angle(cmath.phase(a) - cmath.phase(b) - expected)
-        if abs(gap) > align.tolerance:
-            raise HypothesisViolationError(
-                f"argument alignment arg(a)-arg(b)=beta-alpha fails at index k={k}: "
-                f"off by {gap!r} rad (tolerance {align.tolerance!r})"
-            )
-
-
-def _modulus_differences(f: MultivalentFunction, g: MultivalentFunction) -> list[float]:
-    """|a_{k+p}| - |b_{k+p}| for each k in `_indices(f, g)`."""
-    return [abs(f.coefficient(k)) - abs(g.coefficient(k)) for k in _indices(f, g)]
+    return _sufficient(VALUE, f, g, op, nb)
 
 
 def sufficient_n_modulus(
@@ -293,16 +341,7 @@ def sufficient_n_modulus(
     difference satisfies |e^{i alpha} a - e^{i beta} b| = ||a| - |b||, so this
     equals `sufficient_n` exactly.  Misaligned indices are rejected.
     """
-    _require_compatible(f, g)
-    op.require_valence(f.p)
-    bound = delta_lower_bound_n(f.p, op.m, nb.alpha, nb.beta)
-    _require_admissible(nb.delta, bound, "derivative-side")
-    _check_modulus_alignment(f, g, nb, align)
-    lhs = _weighted_sum(
-        blend_derivative_weight(_indices(f, g), f.p, op), _modulus_differences(f, g)
-    )
-    thr = nb.delta - bound
-    return Verdict(lhs <= thr, lhs, thr)
+    return _sufficient(DERIVATIVE, f, g, op, nb, align)
 
 
 def sufficient_m_modulus(
@@ -313,15 +352,7 @@ def sufficient_m_modulus(
     align: ArgAlignment,
 ) -> Verdict:
     """Value-side mirror of `sufficient_n_modulus`."""
-    _require_compatible(f, g)
-    op.require_valence(f.p)
-    bound = delta_lower_bound_m(f.p, op.m, nb.alpha, nb.beta)
-    _require_admissible(nb.delta, bound, "value-side")
-    notes = _value_side_notes(nb.delta, f.p, op.m, nb.alpha, nb.beta)
-    _check_modulus_alignment(f, g, nb, align)
-    lhs = _weighted_sum(blend_weight(_indices(f, g), f.p, op), _modulus_differences(f, g))
-    thr = nb.delta - bound
-    return Verdict(lhs <= thr, lhs, thr, notes=notes)
+    return _sufficient(VALUE, f, g, op, nb, align)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +372,34 @@ def phase_difference(
     return out
 
 
+def _supremum(
+    family: Family,
+    f: MultivalentFunction,
+    g: MultivalentFunction,
+    op: OperatorParams,
+    nb: NeighborhoodParams,
+    grid: int,
+) -> float:
+    """Boundary supremum of the twisted difference of the family's images."""
+    diff = phase_difference(family.image(f, op), family.image(g, op), nb.alpha, nb.beta)
+    return max_modulus_on_circle(diff, grid)[0]
+
+
+def _membership(
+    family: Family,
+    f: MultivalentFunction,
+    g: MultivalentFunction,
+    op: OperatorParams,
+    nb: NeighborhoodParams,
+    grid: int,
+) -> Verdict:
+    """The family's boundary supremum against delta (strict)."""
+    _admitted_bound(family, f, g, op, nb)
+    notes = family.notes(nb, f.p, op.m)
+    lhs = _supremum(family, f, g, op, nb, grid)
+    return Verdict(lhs < nb.delta, lhs, nb.delta, notes=notes)
+
+
 def membership_n(
     f: MultivalentFunction,
     g: MultivalentFunction,
@@ -355,19 +414,7 @@ def membership_n(
     truncated data this equals the supremum over the open disk.  Holds iff
     lhs < delta (strict).
     """
-    _require_compatible(f, g)
-    op.require_valence(f.p)
-    _require_admissible(
-        nb.delta, delta_lower_bound_n(f.p, op.m, nb.alpha, nb.beta), "derivative-side"
-    )
-    diff = phase_difference(
-        blend_derivative_normalized(f, op),
-        blend_derivative_normalized(g, op),
-        nb.alpha,
-        nb.beta,
-    )
-    lhs, _ = max_modulus_on_circle(diff, grid)
-    return Verdict(lhs < nb.delta, lhs, nb.delta)
+    return _membership(DERIVATIVE, f, g, op, nb, grid)
 
 
 def membership_m(
@@ -378,17 +425,7 @@ def membership_m(
     grid: int = DEFAULT_GRID,
 ) -> Verdict:
     """Definitional value-side membership test, dividing the images by z^{p-m}."""
-    _require_compatible(f, g)
-    op.require_valence(f.p)
-    _require_admissible(
-        nb.delta, delta_lower_bound_m(f.p, op.m, nb.alpha, nb.beta), "value-side"
-    )
-    notes = _value_side_notes(nb.delta, f.p, op.m, nb.alpha, nb.beta)
-    diff = phase_difference(
-        blend_normalized(f, op), blend_normalized(g, op), nb.alpha, nb.beta
-    )
-    lhs, _ = max_modulus_on_circle(diff, grid)
-    return Verdict(lhs < nb.delta, lhs, nb.delta, notes=notes)
+    return _membership(VALUE, f, g, op, nb, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +433,21 @@ def membership_m(
 # ---------------------------------------------------------------------------
 
 
-def _check_necessity_hypotheses(
+def _necessary(
+    family: Family,
     f: MultivalentFunction,
     g: MultivalentFunction,
     op: OperatorParams,
     nb: NeighborhoodParams,
     align: ArgAlignment,
-) -> list[complex]:
+    grid: int,
+) -> Verdict:
+    """The family's weighted sum against delta - p!/(p-m-1)! (cos alpha - cos beta).
+
+    Both families share that threshold.  The angle range, the alignment and
+    (at `grid`) membership are verified first, so a failed bound is a
+    falsification.
+    """
     _require_compatible(f, g)
     op.require_valence(f.p)
     if not (0.0 <= nb.alpha < nb.beta <= math.pi):
@@ -420,7 +465,28 @@ def _check_necessity_hypotheses(
                 f"twisted-difference alignment arg(d_k)=k*phi fails at index k={k}: "
                 f"off by {gap!r} rad (tolerance {align.tolerance!r})"
             )
-    return diffs
+    inside = _membership(family, f, g, op, nb, grid)
+    if not inside.holds:
+        raise HypothesisViolationError(
+            "membership hypothesis fails: boundary supremum "
+            f"{inside.lhs!r} is not below delta={nb.delta!r}"
+        )
+    lhs = _weighted_sum(family.weights(_indices(f, g), f.p, op), diffs)
+    thr = nb.delta - falling_factorial(f.p, op.m + 1) * (
+        math.cos(nb.alpha) - math.cos(nb.beta)
+    )
+    holds = lhs <= thr
+    notes = inside.notes
+    if not holds:
+        notes += (_FALSIFICATION_NOTE,)
+        logger.error(
+            "FALSIFICATION: %s necessity bound failed with verified "
+            "hypotheses (lhs=%r, threshold=%r)",
+            family.label,
+            lhs,
+            thr,
+        )
+    return Verdict(holds, lhs, thr, falsification=not holds, notes=notes)
 
 
 def necessary_n(
@@ -430,7 +496,6 @@ def necessary_n(
     nb: NeighborhoodParams,
     align: ArgAlignment,
     grid: int = DEFAULT_GRID,
-    verify_membership: bool = True,
 ) -> Verdict:
     """Derivative-side necessity bound.
 
@@ -438,41 +503,10 @@ def necessary_n(
     differences and 0 <= alpha < beta <= pi, the weighted sum is guaranteed
     to satisfy lhs <= delta - p!/(p-m-1)! (cos alpha - cos beta).
 
-    Membership is verified numerically (at `grid`) unless
-    ``verify_membership=False``, in which case the caller owns that
-    hypothesis and a failed conclusion is NOT flagged as a falsification.
+    Membership is verified numerically (at `grid`), so a failed conclusion
+    is flagged as a falsification.
     """
-    diffs = _check_necessity_hypotheses(f, g, op, nb, align)
-    notes: tuple[str, ...] = ()
-    if verify_membership:
-        inside = membership_n(f, g, op, nb, grid)
-        if not inside.holds:
-            raise HypothesisViolationError(
-                "membership hypothesis fails: boundary supremum "
-                f"{inside.lhs!r} is not below delta={nb.delta!r}"
-            )
-    else:
-        _require_admissible(
-            nb.delta,
-            delta_lower_bound_n(f.p, op.m, nb.alpha, nb.beta),
-            "derivative-side",
-        )
-        notes = ("membership hypothesis assumed, not verified by this call",)
-    lhs = _weighted_sum(blend_derivative_weight(_indices(f, g), f.p, op), diffs)
-    thr = nb.delta - falling_factorial(f.p, op.m + 1) * (
-        math.cos(nb.alpha) - math.cos(nb.beta)
-    )
-    holds = lhs <= thr
-    falsification = verify_membership and not holds
-    if falsification:
-        notes = notes + (_FALSIFICATION_NOTE,)
-        logger.error(
-            "FALSIFICATION: derivative-side necessity bound failed with verified "
-            "hypotheses (lhs=%r, threshold=%r)",
-            lhs,
-            thr,
-        )
-    return Verdict(holds, lhs, thr, falsification=falsification, notes=notes)
+    return _necessary(DERIVATIVE, f, g, op, nb, align, grid)
 
 
 def necessary_m(
@@ -482,7 +516,6 @@ def necessary_m(
     nb: NeighborhoodParams,
     align: ArgAlignment,
     grid: int = DEFAULT_GRID,
-    verify_membership: bool = True,
 ) -> Verdict:
     """Value-side necessity bound.
 
@@ -490,36 +523,7 @@ def necessary_m(
     the guaranteed conclusion is
     lhs <= delta + p!/(p-m-1)! (cos beta - cos alpha).
     """
-    diffs = _check_necessity_hypotheses(f, g, op, nb, align)
-    notes: tuple[str, ...] = ()
-    if verify_membership:
-        inside = membership_m(f, g, op, nb, grid)
-        notes = inside.notes
-        if not inside.holds:
-            raise HypothesisViolationError(
-                "membership hypothesis fails: boundary supremum "
-                f"{inside.lhs!r} is not below delta={nb.delta!r}"
-            )
-    else:
-        _require_admissible(
-            nb.delta, delta_lower_bound_m(f.p, op.m, nb.alpha, nb.beta), "value-side"
-        )
-        notes = ("membership hypothesis assumed, not verified by this call",)
-    lhs = _weighted_sum(blend_weight(_indices(f, g), f.p, op), diffs)
-    thr = nb.delta + falling_factorial(f.p, op.m + 1) * (
-        math.cos(nb.beta) - math.cos(nb.alpha)
-    )
-    holds = lhs <= thr
-    falsification = verify_membership and not holds
-    if falsification:
-        notes = notes + (_FALSIFICATION_NOTE,)
-        logger.error(
-            "FALSIFICATION: value-side necessity bound failed with verified "
-            "hypotheses (lhs=%r, threshold=%r)",
-            lhs,
-            thr,
-        )
-    return Verdict(holds, lhs, thr, falsification=falsification, notes=notes)
+    return _necessary(VALUE, f, g, op, nb, align, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -620,24 +624,15 @@ def transfer_check(
     _require_compatible(f, g)
     op.require_valence(f.p)
     p, n, m = f.p, f.n, op.m
-    radical_n = delta_lower_bound_n(p, m, nb.alpha, nb.beta)
+    radical_n = DERIVATIVE.bound(p, m, nb.alpha, nb.beta)
     _require_admissible(nb.delta, radical_n / (p + n - m), "transfer")
 
     hyp_thr = nb.delta * (p + n - m) - radical_n
-    hyp_diff = phase_difference(
-        blend_derivative_normalized(f, op),
-        blend_derivative_normalized(g, op),
-        nb.alpha,
-        nb.beta,
-    )
-    hyp_lhs, _ = max_modulus_on_circle(hyp_diff, grid)
+    hyp_lhs = _supremum(DERIVATIVE, f, g, op, nb, grid)
     hypothesis = Verdict(hyp_lhs < hyp_thr, hyp_lhs, hyp_thr)
 
-    con_thr = nb.delta + delta_lower_bound_m(p, m, nb.alpha, nb.beta)
-    con_diff = phase_difference(
-        blend_normalized(f, op), blend_normalized(g, op), nb.alpha, nb.beta
-    )
-    con_lhs, _ = max_modulus_on_circle(con_diff, grid)
+    con_thr = nb.delta + VALUE.bound(p, m, nb.alpha, nb.beta)
+    con_lhs = _supremum(VALUE, f, g, op, nb, grid)
     con_holds = con_lhs < con_thr
     falsification = hypothesis.holds and not con_holds
     notes: tuple[str, ...] = (_FALSIFICATION_NOTE,) if falsification else ()

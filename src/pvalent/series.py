@@ -251,6 +251,12 @@ def _weight_pass(ks: range, p: int, params: OperatorParams, derivative: bool) ->
     base = p - m
     if base < 1:
         raise DomainError(f"operator weights need p > m, got p={p}, m={m}")
+    # log2 of the largest weight is at least omega log2((K+p-m)/(p-m)), every
+    # other factor being >= 1; past 1025 no float holds it, and for a huge
+    # omega the exact powers below would not finish.  Divided, not multiplied,
+    # so a huge integer omega is never converted to a float.
+    if ks and ks[-1] > 0 and omega > 1025 / math.log2((ks[-1] + base) / base):
+        raise _weight_overflow(p, m, omega)
     den = base**omega
     perm = math.perm
     try:
@@ -263,7 +269,11 @@ def _weight_pass(ks: range, p: int, params: OperatorParams, derivative: bool) ->
             return out
     except OverflowError:
         pass
-    raise DomainError(f"operator weight overflows a float (p={p}, m={m}, Omega={omega})")
+    raise _weight_overflow(p, m, omega)
+
+
+def _weight_overflow(p: int, m: int, omega: int) -> DomainError:
+    return DomainError(f"operator weight overflows a float (p={p}, m={m}, Omega={omega})")
 
 
 def blend_weight(k: int | range, p: int, params: OperatorParams) -> float | list[float]:
@@ -393,13 +403,18 @@ def blend_derivative_normalized(
     return TruncatedSeries(0, lead, _weighted_tail(f, blend_derivative_weight, params, 0))
 
 
+def polyval(coeffs, z: complex) -> complex:
+    """Horner evaluation of sum_e coeffs[e] z^e, coefficients ascending from z^0."""
+    z = complex(z)
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def evaluate(s: TruncatedSeries, z: complex) -> complex:
     """Horner evaluation of the full polynomial, leading term included."""
-    z = complex(z)
     dense = [0j] * (s.max_exponent + 1)
     for e, c in s.terms():
         dense[e] = c
-    acc = 0j
-    for c in reversed(dense):
-        acc = acc * z + c
-    return acc
+    return polyval(dense, z)

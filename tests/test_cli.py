@@ -33,7 +33,7 @@ BLEND_FILE = {
 }
 
 
-def run_cli(*args, cwd=None, text=True):
+def run_cli(*args, cwd=None, text=True, timeout=None):
     # The child finds pvalent through the absolute src path, so the CLI runs
     # from any working directory whether or not the package is installed.
     env = dict(os.environ)
@@ -44,6 +44,7 @@ def run_cli(*args, cwd=None, text=True):
         text=text,
         cwd=cwd,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -192,6 +193,28 @@ def test_check_incompatible_files(tmp_path):
     assert "(p, n)" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "criterion",
+    [["suff-n"], ["member-m"], ["nec-n", "--phi", "0"], ["thm211"]],
+    ids=["suff-n", "member-m", "nec-n", "thm211"],
+)
+def test_check_mismatched_files_exit_three(tmp_path, criterion):
+    # the checks themselves reject a pair that does not share (p, n)
+    f = write_json(tmp_path / "f.json", IDENTITY_FILE)
+    g = write_json(tmp_path / "g.json", {**IDENTITY_FILE, "p": 2})
+    result = run_cli("check", f, g, "--criterion", *criterion, "--delta", "2.0")
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == "error: functions must share (p, n); got (1, 1) and (2, 1)\n"
+
+
+def test_check_mismatched_files_without_phi_is_a_usage_error(tmp_path):
+    f = write_json(tmp_path / "f.json", IDENTITY_FILE)
+    g = write_json(tmp_path / "g.json", {**IDENTITY_FILE, "n": 2})
+    result = run_cli("check", f, g, "--criterion", "nec-m", "--delta", "2.0")
+    assert result.returncode == 2
+    assert "--phi" in result.stderr
+
+
 def test_check_inadmissible_delta(tmp_path):
     src = write_json(tmp_path / "f.json", IDENTITY_FILE)
     result = run_cli(
@@ -233,6 +256,20 @@ def test_weight_overflow_is_a_domain_error(tmp_path):
         assert result.returncode == 3, result.stderr
         assert result.stderr.startswith("error: operator weight overflows a float")
         assert "Traceback" not in result.stderr
+
+
+def test_huge_omega_is_a_domain_error_without_exact_powers(tmp_path):
+    # exact powers such as 3**(10**30) would never finish; the log2 estimate rejects them first
+    doc = {"p": 1, "n": 1, "Omega": 10**30, "coefficients": [[0.1, 0.0], [0.2, 0.0]]}
+    src = write_json(tmp_path / "f.json", doc)
+    for args in (
+        ["apply", src],
+        ["check", src, src, "--criterion", "suff-n", "--delta", "1.0"],
+        ["check", src, src, "--criterion", "member-m", "--delta", "1.0"],
+    ):
+        result = run_cli(*args, timeout=5)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("error: operator weight overflows a float")
 
 
 def test_unexpected_exception_exits_four(tmp_path, monkeypatch, capsys):

@@ -150,17 +150,37 @@ def test_value_side_delta_between_bounds_is_flagged():
     low = delta_lower_bound_m(2, 0, alpha, beta)
     high = delta_lower_bound_n(2, 0, alpha, beta)
     assert low < high
+    # one real positive difference: aligned for the modulus forms (g vanishes)
+    # and for the necessity bounds at phi = 0
     f = MultivalentFunction(2, 1, (0.01,))
     g = MultivalentFunction(2, 1)
+    op, align = plain_op(), ArgAlignment(phi=0.0)
+    value_side = {
+        "sufficient_m": lambda nb: sufficient_m(f, g, op, nb),
+        "sufficient_m_modulus": lambda nb: sufficient_m_modulus(f, g, op, nb, align),
+        "membership_m": lambda nb: membership_m(f, g, op, nb),
+        "necessary_m": lambda nb: necessary_m(f, g, op, nb, align),
+    }
+    derivative_side = {
+        "sufficient_n": lambda nb: sufficient_n(f, g, op, nb),
+        "membership_n": lambda nb: membership_n(f, g, op, nb),
+        "necessary_n": lambda nb: necessary_n(f, g, op, nb, align),
+    }
     between = NeighborhoodParams(alpha, beta, 0.5 * (low + high))
-    v = sufficient_m(f, g, plain_op(), between)
-    assert v.notes and "weaker" in v.notes[0]
-    v = membership_m(f, g, plain_op(), between)
-    assert v.notes
     clear = NeighborhoodParams(alpha, beta, high + 1.0)
-    assert sufficient_m(f, g, plain_op(), clear).notes == ()
-    with pytest.raises(InadmissibleDeltaError):
-        sufficient_m(f, g, plain_op(), NeighborhoodParams(alpha, beta, 0.5 * low))
+    for name, check in value_side.items():
+        v = check(between)
+        assert v.holds and not v.falsification, name
+        assert len(v.notes) == 1 and "weaker" in v.notes[0], name
+        v = check(clear)
+        assert v.holds and v.notes == (), name
+        with pytest.raises(InadmissibleDeltaError):
+            check(NeighborhoodParams(alpha, beta, 0.5 * low))
+    for name, check in derivative_side.items():
+        with pytest.raises(InadmissibleDeltaError):
+            check(between)
+        v = check(clear)
+        assert v.holds and v.notes == (), name
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +367,6 @@ def test_necessary_specialization_matches_reduced_form():
     assert abs(v.lhs - reduced_lhs) < 1e-12
     assert abs(v.threshold - (2.0 + math.cos(beta) - 1.0)) < 1e-14
     assert v.holds
-
-
-def test_necessary_unverified_membership_is_noted():
-    f = MultivalentFunction(1, 1)
-    nb = NeighborhoodParams(0.0, 1.0, 2.0)
-    v = necessary_n(f, f, plain_op(), nb, ArgAlignment(), verify_membership=False)
-    assert v.notes and "assumed" in v.notes[0]
-    assert not v.falsification
 
 
 # ---------------------------------------------------------------------------
