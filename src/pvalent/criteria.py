@@ -552,8 +552,12 @@ def telescoping_partner(
     The factorial ratio (k+p-m)!/(k+p-1)! is k+p for m = 0 and
     1/falling_factorial(k+p-1, m-1) for m >= 1, so each coefficient costs
     O(m + omega) small-integer products and the whole partner O(trunc).  The
-    rational core is one exact integer division, rounded once.  A `trunc`
-    above `MAX_TRUNC` is a DomainError.
+    rational core is one exact integer division, rounded once.  Every such
+    ratio is at most ((p-m)/(n+p-m))^omega, so when omega exceeds
+    1075 / log2((n+p-m)/(p-m)) each one rounds to +0.0; the core is then
+    0.0 without any exact power being formed, which gives the same bytes
+    and keeps a huge omega fast.  A `trunc` above `MAX_TRUNC` is a
+    DomainError.
     """
     op.require_valence(g.p)
     p, n, m = g.p, g.n, op.m
@@ -575,17 +579,21 @@ def telescoping_partner(
     phase = cmath.exp(-1j * nb.alpha)
     twist = cmath.exp(1j * (nb.beta - nb.alpha))
     base = p - m
-    scale = base**op.omega * (n + p - 1)
+    # every exact ratio is at most (base/(n+base))^omega; at or below 2^-1075 it rounds to +0.0
+    underflows = op.omega > 1075 / math.log2((n + base) / base)
+    scale = 0 if underflows else base**op.omega * (n + p - 1)
     coeffs = []
     for k in range(n, trunc + 1):
-        den = (k + p - m) ** (op.omega + 1) * (k + p) ** 2 * (k + p - 1)
-        if m == 0:
-            num = scale * (k + p)
-        else:
-            num = scale
-            den *= falling_factorial(k + p - 1, m - 1)
-        # exact integer division rounds once; the two float operations after it once each
-        core = (num / den) * excess / (1.0 + op.lam * k / base)
+        core = 0.0
+        if not underflows:
+            den = (k + p - m) ** (op.omega + 1) * (k + p) ** 2 * (k + p - 1)
+            if m == 0:
+                num = scale * (k + p)
+            else:
+                num = scale
+                den *= falling_factorial(k + p - 1, m - 1)
+            # exact integer division rounds once; the two float operations after it once each
+            core = (num / den) * excess / (1.0 + op.lam * k / base)
         coeffs.append(core * phase + twist * g.coefficient(k))
     return MultivalentFunction(p, n, tuple(coeffs))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pvalent import DomainError, max_modulus_on_circle, sup_oracle
-from pvalent.circlemax import MAX_GRID
+from pvalent.circlemax import MAX_GRID, _curvature_bound
 
 ORACLE_POINTS = 1 << 20
 
@@ -39,13 +39,13 @@ def test_binomial_max_at_positive_axis():
 
 def test_off_grid_maximum_is_refined():
     # max of |1 + e^{-i t0} z| sits at theta = t0, generically off any grid;
-    # the value is machine-accurate while the angle resolves only to ~sqrt(eps)
-    # because the modulus is flat to second order at the maximum
+    # Newton steps on T' = d|p|^2/dt resolve the root of T' itself, not just
+    # the sqrt(eps) flat top of the modulus
     t0 = 0.4321987
     c = np.array([1.0, np.exp(-1j * t0)])
     value, theta = max_modulus_on_circle(c, grid=64)
     assert abs(value - 2.0) < 1e-12
-    assert abs(theta - t0) < 1e-6
+    assert abs(theta - t0) < 1e-9
 
 
 def test_rejects_small_grid():
@@ -134,3 +134,57 @@ def test_tiny_variation_is_not_flat():
     value, theta = max_modulus_on_circle(np.array([1.0, 1e-9]))
     assert abs(value - (1.0 + 1e-9)) <= 1e-15 * (1.0 + 1e-9)
     assert min(theta, 2 * math.pi - theta) < 1e-6
+
+
+def _family(kind: str, degree: int, rng) -> np.ndarray:
+    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    if kind == "dominant":
+        c[0] = 10.0 * (degree + 1)
+    elif kind == "decaying":
+        c *= 0.7 ** np.arange(degree + 1)
+    elif kind == "ripple":
+        c *= 1e-3
+        c[0] += 1.0
+    return c
+
+
+FAMILIES = ("gaussian", "dominant", "decaying", "ripple")
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_newton_refinement_inside_dense_enclosure(kind):
+    # the 2^20-sample maximum and its Bernstein inflation enclose the true
+    # supremum; rounding of the two evaluation routes is allowed at 1e-12
+    rng = np.random.default_rng(FAMILIES.index(kind))
+    for degree in (1, 5, 40, 300, 3000, *rng.integers(2, 1000, size=8)):
+        c = _family(kind, int(degree), rng)
+        oracle = sup_oracle(c, ORACLE_POINTS)
+        upper = oracle / math.sqrt(1.0 - (degree * math.pi / ORACLE_POINTS) ** 2 / 2.0)
+        for grid in (8, 64, 4096):
+            value, _ = max_modulus_on_circle(c, grid=grid)
+            assert oracle * (1.0 - 1e-12) <= value <= upper * (1.0 + 1e-12), (int(degree), grid)
+
+
+@pytest.mark.parametrize("kind", FAMILIES + ("near-monomial",))
+def test_curvature_bound_covers_sampled_second_derivative(kind):
+    # T'' = 2(|p'|^2 + Re(conj(p) p'')) sampled by FFT must never exceed the bound
+    rng = np.random.default_rng(100 + (FAMILIES + ("near-monomial",)).index(kind))
+    for degree in (1, 3, 30, 400):
+        if kind == "near-monomial":
+            c = 1e-12 * _family("gaussian", degree, rng)
+            c[1 % (degree + 1)] = 1.0
+        else:
+            c = _family(kind, degree, rng)
+        k = np.arange(degree + 1)
+        p, dp, d2p = (np.fft.fft(np.conj(w), 1 << 14).conj() for w in (c, 1j * k * c, -(k * k) * c))
+        sampled = np.max(np.abs(2.0 * (np.abs(dp) ** 2 + (np.conj(p) * d2p).real)))
+        assert sampled <= _curvature_bound(c)
+
+
+def test_large_coefficients_do_not_overflow():
+    # |p|^2 of 1e300 data exceeds a float; the power-of-two scaling keeps it finite
+    c = np.full(50, 1e300, dtype=complex)
+    with np.errstate(all="raise"):
+        value, theta = max_modulus_on_circle(c, grid=64)
+    assert value == pytest.approx(5e301, rel=1e-13)
+    assert min(theta, 2 * math.pi - theta) < 1e-9

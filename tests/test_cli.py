@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -270,6 +271,45 @@ def test_huge_omega_is_a_domain_error_without_exact_powers(tmp_path):
         result = run_cli(*args, timeout=5)
         assert result.returncode == 3, result.stderr
         assert result.stderr.startswith("error: operator weight overflows a float")
+
+
+def test_construct_huge_omega_skips_underflowing_powers(tmp_path):
+    # every partner ratio is at most 2^-Omega here, so it rounds to +0.0 without exact powers
+    doc = {"p": 2, "n": 1, "m": 1, "Omega": 10**30, "coefficients": [[0.1, 0.0], [0.2, 0.0]]}
+    src = write_json(tmp_path / "g.json", doc)
+    result = run_cli("construct", src, "--delta", "1.0", "-K", "4", timeout=5)
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout)["coefficients"]
+    assert rows == [[0.1, 0.0], [0.2, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("criterion", ["thm211", "member-n"])
+def test_check_huge_coefficients_do_not_overflow(tmp_path, criterion):
+    # |P|^2 of 1e300 data exceeds a float; the supremum must not crash or warn
+    params = {"p": 2, "n": 1, "Omega": 2, "lambda": 0.5}
+    f = write_json(tmp_path / "f.json", {**params, "coefficients": [[1e300, 0.0]] * 50})
+    g = write_json(tmp_path / "g.json", {**params, "coefficients": [[0.0, 0.0]]})
+    result = run_cli(
+        "check", f, g, "--criterion", criterion, "--delta", "10", "--alpha", "0.2", timeout=60
+    )
+    assert result.returncode in (0, 1), result.stderr
+    assert result.stderr == ""
+
+
+def test_check_near_monomial_membership_is_fast(tmp_path):
+    # P is z^p plus 1e-12 ripple at K = 3000: nearly flat, so Bernstein's d^2 B^2
+    # kept thousands of brackets; the autocorrelation curvature bound keeps few
+    rng = random.Random(0)
+    paths = []
+    for name in ("f", "g"):
+        coeffs = [[1e-12 * rng.gauss(0, 1), 1e-12 * rng.gauss(0, 1)] for _ in range(3000)]
+        doc = {"p": 1, "n": 1, "Omega": 1, "coefficients": coeffs}
+        paths.append(write_json(tmp_path / f"{name}.json", doc))
+    result = run_cli(
+        "check", *paths, "--criterion", "member-n", "--alpha", "0.3", "--delta", "1", timeout=5
+    )
+    assert result.returncode == 0, result.stderr
+    assert "holds     : yes" in result.stdout
 
 
 def test_unexpected_exception_exits_four(tmp_path, monkeypatch, capsys):

@@ -451,6 +451,21 @@ def test_partner_matches_factorial_formula_bitwise():
                     assert list(partner.coeffs) == _factorial_partner_coeffs(g, op, nb, 120)
 
 
+@pytest.mark.parametrize("p, m, n", [(2, 1, 1), (1, 0, 1), (3, 1, 4)])
+def test_partner_underflow_cutoff_matches_factorial_formula_bitwise(p, m, n):
+    # omega > 1075 / log2((n+p-m)/(p-m)) skips the exact powers; both sides of the
+    # cut-off must still give the formula's bytes, +0.0 cores included
+    g = MultivalentFunction(p, n, (0.0, 0.05j))  # a zero first coefficient leaves the core visible
+    nb = NeighborhoodParams(0.4, -0.2, 50.0)
+    cutoff = 1075 / math.log2((n + p - m) / (p - m))
+    for omega in (int(cutoff) - 10, int(cutoff) - 1, int(cutoff) + 1, 1100):
+        op = OperatorParams(lam=0.5, m=m, omega=omega)
+        partner = telescoping_partner(g, op, nb, 30)
+        expected = _factorial_partner_coeffs(g, op, nb, 30)
+        assert list(map(repr, partner.coeffs)) == list(map(repr, expected))
+        assert (partner.coeffs[0] != 0) == (omega < cutoff - 5)
+
+
 @pytest.mark.parametrize("p, m, omega", [(1, 0, 2), (4, 2, 1)])
 def test_partner_sum_matches_closed_form_at_high_order(p, m, omega):
     g = MultivalentFunction(p, 2, (0.3 - 0.1j, 0.05j))
