@@ -39,7 +39,7 @@ from .series import (
     MultivalentFunction,
     NeighborhoodParams,
     OperatorParams,
-    TruncatedSeries,
+    _dense_image,
     blend_derivative_normalized,
     blend_derivative_weight,
     blend_normalized,
@@ -48,6 +48,10 @@ from .series import (
     phase_gap_radical,
     wrap_angle,
 )
+
+# The checks build their images with `_dense_image`.  `blend_normalized` and
+# `blend_derivative_normalized` are imported only to stay attributes of this
+# module: the benchmark's tracer (bench/tracing.py) wraps them here by name.
 
 logger = logging.getLogger(__name__)
 
@@ -126,9 +130,9 @@ class ImplicationPair:
 class Family:
     """A neighborhood family: its label and the derivative order of its image.
 
-    Order 1 is the derivative side, order 0 the value side.  The weight and
-    image functions are looked up when called, never stored, so a wrapper
-    put on this module's attributes sees every call.
+    Order 1 is the derivative side, order 0 the value side.  The weight
+    functions are looked up when called, never stored, so a wrapper put on
+    this module's attributes sees every call.
     """
 
     label: str
@@ -146,9 +150,11 @@ class Family:
         """Coefficient weights (k+p-m)^order W(k) for every k in `ks`."""
         return (blend_derivative_weight if self.order else blend_weight)(ks, p, op)
 
-    def image(self, f: MultivalentFunction, op: OperatorParams) -> TruncatedSeries:
-        """The order-th derivative of the blended image, normalised to a polynomial."""
-        return (blend_derivative_normalized if self.order else blend_normalized)(f, op)
+    def image(self, f: MultivalentFunction, op: OperatorParams) -> np.ndarray:
+        """Dense coefficients of the order-th derivative of the blended image,
+        normalised to a polynomial: p!/(p-m-order)! at index 0, the weighted
+        coefficient w_k a_{k+p} at index k."""
+        return _dense_image(f, op, self.order)
 
     def notes(self, nb: NeighborhoodParams, p: int, m: int) -> tuple[str, ...]:
         """Value side only: flag a delta between the two published value-side bounds."""
@@ -239,22 +245,37 @@ def _indices(f: MultivalentFunction, g: MultivalentFunction) -> range:
 
 def _twisted_differences(
     f: MultivalentFunction, g: MultivalentFunction, alpha: float, beta: float
-) -> list[complex]:
-    """e^{i alpha} a_{k+p} - e^{i beta} b_{k+p} for each k in `_indices(f, g)`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of e^{i alpha} a_{k+p} - e^{i beta} b_{k+p}
+    for each k in `_indices(f, g)`.
 
-    The shorter coefficient list is implicitly zero-extended.
+    The shorter coefficient list is implicitly zero-extended.  The parts are
+    formed from separate real multiplies and subtractions in the order CPython
+    uses for complex products, so they carry the bits of the Python
+    expression ua * a - ub * b; numpy's complex multiply may fuse the same
+    steps into FMAs and round differently.
     """
     ua = cmath.exp(1j * alpha)
     ub = cmath.exp(1j * beta)
     size = len(_indices(f, g))
-    a = f.coeffs + (0j,) * (size - len(f.coeffs))
-    b = g.coeffs + (0j,) * (size - len(g.coeffs))
-    return [ua * x - ub * y for x, y in zip(a, b)]
+    a = np.zeros(size, dtype=np.complex128)
+    b = np.zeros(size, dtype=np.complex128)
+    a[: len(f.coeffs)] = f.coeffs
+    b[: len(g.coeffs)] = g.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = (ua.real * a.real - ua.imag * a.imag) - (ub.real * b.real - ub.imag * b.imag)
+        im = (ua.real * a.imag + ua.imag * a.real) - (ub.real * b.imag + ub.imag * b.real)
+    return re, im
 
 
-def _weighted_sum(weights, values) -> float:
-    """sum_k w_k |v_k|, rounded once."""
-    return math.fsum(w * abs(v) for w, v in zip(weights, values))
+def _weighted_sum(weights, re, im=0.0) -> float:
+    """sum_k w_k |re_k + i im_k|, rounded once; a sum past the float range reads inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.multiply(weights, np.hypot(re, im)).tolist()
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # finite terms, all >= 0, whose partial sums overflow
+        return math.inf
 
 
 def _aligned_modulus_differences(
@@ -297,8 +318,8 @@ def _sufficient(
     if align is None:
         diffs = _twisted_differences(f, g, nb.alpha, nb.beta)
     else:
-        diffs = _aligned_modulus_differences(f, g, nb, align)
-    lhs = _weighted_sum(family.weights(_indices(f, g), f.p, op), diffs)
+        diffs = (_aligned_modulus_differences(f, g, nb, align),)
+    lhs = _weighted_sum(family.weights(_indices(f, g), f.p, op), *diffs)
     thr = nb.delta - bound
     return Verdict(lhs <= thr, lhs, thr, notes=notes)
 
@@ -360,12 +381,13 @@ def sufficient_m_modulus(
 # ---------------------------------------------------------------------------
 
 
-def phase_difference(
-    sf: TruncatedSeries, sg: TruncatedSeries, alpha: float, beta: float
-) -> np.ndarray:
-    """Dense coefficients of e^{i alpha} sf - e^{i beta} sg."""
-    cf = sf.dense_coefficients()
-    cg = sg.dense_coefficients()
+def phase_difference(cf: np.ndarray, cg: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Dense coefficients of e^{i alpha} cf - e^{i beta} cg (ascending, zero-extended).
+
+    The twists use numpy's complex multiply, whose last bits follow numpy's
+    CPU dispatch (FMA from X86_V3 on), so supremum reports can differ in the
+    last digit between machines.
+    """
     out = np.zeros(max(cf.size, cg.size), dtype=np.complex128)
     out[: cf.size] += cmath.exp(1j * alpha) * cf
     out[: cg.size] -= cmath.exp(1j * beta) * cg
@@ -455,8 +477,9 @@ def _necessary(
             "necessity bounds require 0 <= alpha < beta <= pi; "
             f"got alpha={nb.alpha!r}, beta={nb.beta!r}"
         )
-    diffs = _twisted_differences(f, g, nb.alpha, nb.beta)
-    for k, d in zip(_indices(f, g), diffs):
+    re, im = _twisted_differences(f, g, nb.alpha, nb.beta)
+    for k, x, y in zip(_indices(f, g), re.tolist(), im.tolist()):
+        d = complex(x, y)
         if d == 0:
             continue
         gap = wrap_angle(cmath.phase(d) - k * align.phi)
@@ -471,7 +494,7 @@ def _necessary(
             "membership hypothesis fails: boundary supremum "
             f"{inside.lhs!r} is not below delta={nb.delta!r}"
         )
-    lhs = _weighted_sum(family.weights(_indices(f, g), f.p, op), diffs)
+    lhs = _weighted_sum(family.weights(_indices(f, g), f.p, op), re, im)
     thr = nb.delta - falling_factorial(f.p, op.m + 1) * (
         math.cos(nb.alpha) - math.cos(nb.beta)
     )

@@ -110,10 +110,13 @@ class MultivalentFunction:
             raise DomainError(f"valence p must be >= 1, got {self.p}")
         if self.n < 1:
             raise DomainError(f"starting index n must be >= 1, got {self.n}")
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        for i, c in enumerate(coeffs):
-            if not cmath.isfinite(c):
-                raise DomainError(f"coefficient at k={self.n + i} is not finite")
+        coeffs = tuple(map(complex, self.coeffs))
+        # any inf or nan makes the sum non-finite, and so can finite entries
+        # summing past the float range: only then look entry by entry
+        if not cmath.isfinite(sum(coeffs)):
+            for i, c in enumerate(coeffs):
+                if not cmath.isfinite(c):
+                    raise DomainError(f"coefficient at k={self.n + i} is not finite")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -216,6 +219,19 @@ class TruncatedSeries:
             prev = e
         object.__setattr__(self, "tail", tuple(tail))
 
+    @classmethod
+    def _trusted(
+        cls, lead_exp: int, lead_coeff: complex, tail: tuple[tuple[int, complex], ...]
+    ) -> TruncatedSeries:
+        """Build without validation from values the caller has already checked:
+        Python ints and finite Python complexes, exponents increasing past
+        `lead_exp`."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "lead_exp", lead_exp)
+        object.__setattr__(s, "lead_coeff", lead_coeff)
+        object.__setattr__(s, "tail", tail)
+        return s
+
     def terms(self):
         """Yield (exponent, coefficient) pairs, leading term first."""
         yield self.lead_exp, self.lead_coeff
@@ -239,13 +255,27 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _weight_pass(ks: range, p: int, params: OperatorParams, derivative: bool) -> list[float]:
+#: Every integer up to 2^53 is a float, so a product of such integers formed
+#: in float arithmetic is exact as long as every partial product stays below it.
+_EXACT_INT = 2**53
+
+#: Below this many indices the per-index integer loop beats numpy's fixed cost.
+_ARRAY_MIN_TERMS = 32
+
+
+def _weight_pass(ks: range, p: int, params: OperatorParams, derivative: bool) -> np.ndarray:
     """Value-side (or derivative-side) weights for every k in `ks`, in one pass.
 
     Each weight divides the exact integers (k+p)!/(k+p-m)! (k+p-m)^omega and
     (p-m)^omega, so it rounds once, then applies the blend factor (and the
-    derivative factor k+p-m) in that order.  A weight too large for a float
-    is a DomainError, never an OverflowError or an infinite weight.
+    derivative factor k+p-m) in that order.  For a range of at least
+    `_ARRAY_MIN_TERMS` indices whose numerator at the largest k and k+p are
+    below 2^53 (then so is (p-m)^omega, which is at most that numerator),
+    the numerators are formed by repeated float multiplication over the whole
+    range: every partial product is then an exact integer, and the one
+    division rounds as the integer division does, so both routes give the
+    same bits.  A weight too large for a float is a
+    DomainError, never an OverflowError or an infinite weight.
     """
     m, omega, lam = params.m, params.omega, params.lam
     base = p - m
@@ -259,6 +289,24 @@ def _weight_pass(ks: range, p: int, params: OperatorParams, derivative: bool) ->
         raise _weight_overflow(p, m, omega)
     den = base**omega
     perm = math.perm
+    top = max(ks[0], ks[-1]) if ks else 0
+    if (
+        len(ks) >= _ARRAY_MIN_TERMS
+        and min(ks[0], ks[-1]) >= 0
+        and top + p < _EXACT_INT
+        and perm(top + p, m) * (top + base) ** omega < _EXACT_INT
+    ):
+        k = np.arange(ks.start, ks.stop, ks.step, dtype=np.float64)
+        shifted = k + base
+        num = np.ones_like(k)
+        for j in range(m):
+            num *= k + (p - j)
+        for _ in range(omega):
+            num *= shifted
+        out = num / den * (1.0 + lam * k / base)
+        if derivative:
+            out *= shifted
+        return out
     try:
         out = [
             (perm(k + p, m) * (k + p - m) ** omega / den) * (1.0 + lam * k / base) for k in ks
@@ -266,7 +314,7 @@ def _weight_pass(ks: range, p: int, params: OperatorParams, derivative: bool) ->
         if derivative:
             out = [w * (k + p - m) for k, w in zip(ks, out)]
         if not out or max(out) < math.inf:
-            return out
+            return np.array(out, dtype=np.float64)
     except OverflowError:
         pass
     raise _weight_overflow(p, m, omega)
@@ -283,8 +331,8 @@ def blend_weight(k: int | range, p: int, params: OperatorParams) -> float | list
     weights, computed in one pass.
     """
     if isinstance(k, range):
-        return _weight_pass(k, p, params, derivative=False)
-    return _weight_pass(range(k, k + 1), p, params, derivative=False)[0]
+        return _weight_pass(k, p, params, derivative=False).tolist()
+    return _weight_pass(range(k, k + 1), p, params, derivative=False).item()
 
 
 def blend_derivative_weight(
@@ -295,8 +343,8 @@ def blend_derivative_weight(
     Equal to (k+p-m) times `blend_weight`; a range of indices gives a list.
     """
     if isinstance(k, range):
-        return _weight_pass(k, p, params, derivative=True)
-    return _weight_pass(range(k, k + 1), p, params, derivative=True)[0]
+        return _weight_pass(k, p, params, derivative=True).tolist()
+    return _weight_pass(range(k, k + 1), p, params, derivative=True).item()
 
 
 def exact_blend_weight(k: int, p: int, params: OperatorParams) -> Fraction:
@@ -367,27 +415,53 @@ def salagean_iterate(s: TruncatedSeries, order: int, p: int, m: int) -> Truncate
     return TruncatedSeries(s.lead_exp, s.lead_coeff * (base**order / den), scaled)
 
 
-def _weighted_tail(f: MultivalentFunction, weight, params: OperatorParams, shift: int):
-    """((k + shift, w_k a_{k+p}) for k in the support of f), weights in one pass."""
+def _dense_image(
+    f: MultivalentFunction, params: OperatorParams, order: int, shift: int = 0
+) -> np.ndarray:
+    """Dense coefficients, index = exponent, of z^shift times the order-th
+    derivative of the blended image of f divided by z^{p-m-order}.
+
+    The lead p!/(p-m-order)! sits at index `shift` and w_k a_{k+p} at
+    k + shift.  Each product is formed as CPython forms float * complex, the
+    float taken as w + 0j: (w re - 0.0 im, w im + 0.0 re), from separate real
+    multiplies and additions, so the bits (signed zeros included) are those
+    of the Python expression w * a_{k+p}.  A product past the float range is
+    a DomainError naming its exponent.
+    """
+    params.require_valence(f.p)
     ks = f.support()
-    return tuple(
-        (k + shift, w * c) for k, w, c in zip(ks, weight(ks, f.p, params), f.coeffs)
-    )
+    out = np.zeros((ks[-1] if ks else 0) + shift + 1, dtype=np.complex128)
+    out[shift] = float(falling_factorial(f.p, params.m + order))
+    w = _weight_pass(ks, f.p, params, derivative=bool(order))
+    c = np.array(f.coeffs, dtype=np.complex128)
+    tail = out[f.n + shift :]
+    with np.errstate(over="ignore"):
+        tail.real = w * c.real - 0.0 * c.imag
+        tail.imag = w * c.imag + 0.0 * c.real
+    bad = np.flatnonzero(~np.isfinite(tail))
+    if bad.size:
+        raise DomainError(f"tail coefficient at exponent {f.n + shift + bad[0]} is not finite")
+    return out
+
+
+def _image_series(
+    f: MultivalentFunction, params: OperatorParams, order: int, shift: int
+) -> TruncatedSeries:
+    """`_dense_image` as a series with leading exponent `shift`, built unvalidated."""
+    dense = _dense_image(f, params, order, shift)
+    start = f.n + shift
+    tail = tuple(zip(range(start, dense.size), dense[start:].tolist()))
+    return TruncatedSeries._trusted(shift, complex(dense[shift]), tail)
 
 
 def salagean_blend(f: MultivalentFunction, params: OperatorParams) -> TruncatedSeries:
     """The blended operator image of f^(m), computed directly from the weights."""
-    params.require_valence(f.p)
-    p, m = f.p, params.m
-    lead = float(falling_factorial(p, m))
-    return TruncatedSeries(p - m, lead, _weighted_tail(f, blend_weight, params, p - m))
+    return _image_series(f, params, 0, f.p - params.m)
 
 
 def blend_normalized(f: MultivalentFunction, params: OperatorParams) -> TruncatedSeries:
     """Blended image divided by z^{p-m}: a polynomial with constant term p!/(p-m)!."""
-    params.require_valence(f.p)
-    lead = float(falling_factorial(f.p, params.m))
-    return TruncatedSeries(0, lead, _weighted_tail(f, blend_weight, params, 0))
+    return _image_series(f, params, 0, 0)
 
 
 def blend_derivative_normalized(
@@ -398,9 +472,7 @@ def blend_derivative_normalized(
     A polynomial with constant term p!/(p-m-1)! whose z^k coefficient is
     (k+p-m) W(k) a_{k+p}.  Requires p > m so that p - m - 1 >= 0.
     """
-    params.require_valence(f.p)
-    lead = float(falling_factorial(f.p, params.m + 1))
-    return TruncatedSeries(0, lead, _weighted_tail(f, blend_derivative_weight, params, 0))
+    return _image_series(f, params, 1, 0)
 
 
 def polyval(coeffs, z: complex) -> complex:

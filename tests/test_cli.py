@@ -532,6 +532,66 @@ def test_golden_construct_stdout(tmp_path):
     assert out.read_bytes() == result.stdout
 
 
+# k300_checks.json holds the exit code, stdout, stderr and --out bytes of
+# every criterion on two K = 300 pairs, written by the Python-arithmetic image
+# and sum code that the dense numpy path replaced: k300_function.json against
+# k300_partner.json (aligned along phi = 0.1, 2.5e307 at k = 3, signed zeros
+# and subnormals) and k300_operator_f.json against k300_operator_g.json
+# (p = 3, m = 1, Omega = 2, lambda = 0.7, aligned along phi = 0.7).  The
+# supremum criteria's bits depend on numpy's complex multiply in
+# phase_difference; these were recorded, and agree, under its X86_V3 and
+# X86_V4 dispatch.
+
+
+def test_golden_k300_check_reports(cli, tmp_path, monkeypatch, capsys):
+    cases = json.loads((GOLDEN / "k300_checks.json").read_text())
+    assert sorted({case["argv"][4] for case in cases}) == sorted(cli.CRITERIA)
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / "report.json"
+    for case in cases:
+        out.unlink(missing_ok=True)
+        code = cli.main(case["argv"] + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), case["argv"]
+        assert (out.read_text() if out.exists() else None) == case["report"], case["argv"]
+
+
+def test_image_overflow_is_one_domain_error_line(tmp_path):
+    # p = 3, m = 2, Omega = 2, lambda = 1: every weight up to K = 2001 is a
+    # finite float, and the value-side weight at k = 2001 (about 3.2e16)
+    # times 1e300 is not
+    doc = {"p": 3, "n": 1, "m": 2, "lambda": 1.0, "Omega": 2,
+           "coefficients": [[0.0, 0.0]] * 2000 + [[1e300, 0.0]]}
+    src = write_json(tmp_path / "f.json", doc)
+    runs = [("check", src, src, "--criterion", c, "--delta", "1.0")
+            for c in ("member-n", "member-m", "thm211")]
+    for args in runs + [("apply", src, "--prime")]:
+        result = run_cli(*args)
+        assert result.returncode == 3, (args, result.stderr)
+        assert result.stderr == "error: tail coefficient at exponent 2001 is not finite\n", args
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [[[1.5e308, 1.5e308]], [[1e308, 0.0], [1e308, 0.0]]],
+    ids=["modulus", "partial-sum"],
+)
+def test_sum_overflow_fails_the_criterion(tmp_path, coefficients):
+    # |1.5e308 (1 + i)| and 1e308 + 1e308 are past the float range: the sum
+    # is inf, so the criterion fails (exit 1) instead of escaping as an
+    # OverflowError (exit 4)
+    doc = {"p": 1, "n": 1, "coefficients": coefficients}
+    f = write_json(tmp_path / "f.json", doc)
+    g = write_json(tmp_path / "g.json", {**doc, "coefficients": [[0.0, 0.0]] * len(coefficients)})
+    for criterion in ("suff-n", "suff-m"):
+        result = run_cli("check", f, g, "--criterion", criterion, "--delta", "2")
+        assert result.returncode == 1, result.stderr
+        assert result.stderr == ""
+        assert "lhs       : inf\n" in result.stdout
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +38,16 @@ from pvalent import (
     threshold_n,
     transfer_check,
 )
-from pvalent.criteria import MAX_TRUNC
+from pvalent.criteria import (
+    DERIVATIVE,
+    MAX_TRUNC,
+    VALUE,
+    _indices,
+    _twisted_differences,
+    _weighted_sum,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SQRT2 = math.sqrt(2.0)
 
@@ -571,3 +582,63 @@ def test_rotation_invariance_spot():
         ma = membership_n(f, g, op, nb, 512)
         mb = membership_n(f, g, op, moved, 512)
         assert abs(ma.lhs - mb.lhs) <= 1e-12 * max(1.0, ma.lhs)
+
+
+# ---------------------------------------------------------------------------
+# twisted differences and weighted sums against Python complex arithmetic
+# (the CI workflow re-runs every test named *bitwise* with numpy's X86_V3 and
+# newer dispatch disabled)
+# ---------------------------------------------------------------------------
+
+
+def _golden_function(name):
+    doc = json.loads((GOLDEN / name).read_text())
+    coeffs = tuple(complex(re, im) for re, im in doc["coefficients"])
+    op = OperatorParams(lam=doc.get("lambda", 0.0), m=doc.get("m", 0), omega=doc.get("Omega", 0))
+    return MultivalentFunction(doc["p"], doc["n"], coeffs), op
+
+
+def _sum_cases():
+    f, op = _golden_function("k300_function.json")
+    g, _ = _golden_function("k300_partner.json")
+    yield f, g, op
+    f, op = _golden_function("k300_operator_f.json")
+    g, _ = _golden_function("k300_operator_g.json")
+    yield f, g, op
+    rng = np.random.default_rng(5)
+    a = (rng.standard_normal(90) + 1j * rng.standard_normal(90)).tolist()
+    b = (rng.standard_normal(60) + 1j * rng.standard_normal(60)).tolist()
+    a[::9] = [complex(-0.0, 5e-324), complex(5e-324, -0.0)] * 5
+    b[::6] = [complex(-0.0, -0.0), complex(0.0, -5e-324)] * 5
+    op = OperatorParams(lam=0.35, m=1, omega=2)
+    yield MultivalentFunction(3, 2, tuple(a)), MultivalentFunction(3, 2, tuple(b)), op
+    yield MultivalentFunction(3, 2, tuple(b)), MultivalentFunction(3, 2, tuple(a)), op
+
+
+def _python_twisted(f, g, alpha, beta):
+    """The twisted differences as Python complex arithmetic formed them."""
+    ua = cmath.exp(1j * alpha)
+    ub = cmath.exp(1j * beta)
+    size = max(len(f.coeffs), len(g.coeffs))
+    a = f.coeffs + (0j,) * (size - len(f.coeffs))
+    b = g.coeffs + (0j,) * (size - len(g.coeffs))
+    return [ua * x - ub * y for x, y in zip(a, b)]
+
+
+def _bits(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+def test_twisted_sums_bitwise_match_python_complex_arithmetic():
+    for f, g, op in _sum_cases():
+        for alpha, beta in ((0.3, 1.1), (0.0, math.pi), (-2.5, 0.25)):
+            re, im = _twisted_differences(f, g, alpha, beta)
+            oracle = _python_twisted(f, g, alpha, beta)
+            assert _bits(complex(x, y) for x, y in zip(re.tolist(), im.tolist())) == _bits(oracle)
+            for family in (DERIVATIVE, VALUE):
+                w = family.weights(_indices(f, g), f.p, op)
+                expected = math.fsum(x * abs(v) for x, v in zip(w, oracle))
+                assert _weighted_sum(w, re, im).hex() == expected.hex()
+                moduli = [abs(f.coefficient(k)) - abs(g.coefficient(k)) for k in _indices(f, g)]
+                expected = math.fsum(x * abs(v) for x, v in zip(w, moduli))
+                assert _weighted_sum(w, moduli).hex() == expected.hex()

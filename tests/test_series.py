@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import cmath
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvalent import (
@@ -30,6 +33,9 @@ from pvalent import (
     salagean_iterate,
     wrap_angle,
 )
+from pvalent.criteria import DERIVATIVE, VALUE
+
+GOLDEN = Path(__file__).parent / "golden"
 
 finite_complex = st.complex_numbers(
     max_magnitude=3.0, allow_nan=False, allow_infinity=False
@@ -390,3 +396,179 @@ def test_blend_normalized_shifts_exponents():
     shifted = blend_normalized(f, op)
     assert shifted.lead_exp == 0
     assert [(e - (f.p - op.m), c) for e, c in whole.terms()] == list(shifted.terms())
+
+
+# ---------------------------------------------------------------------------
+# bulk coefficient validation
+# ---------------------------------------------------------------------------
+
+
+def _per_entry_coeffs(n, coeffs):
+    """The entry-by-entry validation the bulk check replaced, kept as its oracle."""
+    out = tuple(complex(c) for c in coeffs)
+    for i, c in enumerate(out):
+        if not cmath.isfinite(c):
+            raise DomainError(f"coefficient at k={n + i} is not finite")
+    return out
+
+
+_HUGE = 1.7976931348623157e308
+coefficient_entries = st.one_of(
+    st.complex_numbers(),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.complex_numbers().map(np.complex128),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([-0.0, complex(-0.0, -0.0), 5e-324, _HUGE, -_HUGE, complex(_HUGE, _HUGE)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.lists(coefficient_entries, max_size=12))
+@example(1, [_HUGE, _HUGE])  # finite entries whose sum overflows
+@example(2, [complex(_HUGE, -_HUGE), complex(_HUGE, -_HUGE), math.inf])
+@example(1, [np.float64(-0.0), np.complex128(complex(-0.0, 5e-324)), math.nan])
+@example(3, [1.0, complex(math.inf, -math.inf)])
+def test_bulk_coefficient_check_matches_per_entry_loop(n, coeffs):
+    try:
+        expected = _per_entry_coeffs(n, coeffs)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as info:
+            MultivalentFunction(2, n, coeffs)
+        assert str(info.value) == str(exc)
+        return
+    got = MultivalentFunction(2, n, coeffs).coeffs
+    assert [(c.real.hex(), c.imag.hex()) for c in got] == [
+        (c.real.hex(), c.imag.hex()) for c in expected
+    ]
+    assert all(type(c) is complex for c in got)
+
+
+# ---------------------------------------------------------------------------
+# the dense weight and image path against the Python expressions it replaced
+# (the CI workflow re-runs every test named *bitwise* with numpy's X86_V3 and
+# newer dispatch disabled)
+# ---------------------------------------------------------------------------
+
+
+def _cut_off(p, m, omega):
+    """Largest K whose numerator (K+p)!/(K+p-m)! (K+p-m)^omega is below 2^53."""
+    lo, hi = 0, 2**53
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if falling_factorial(mid + p, m) * (mid + p - m) ** omega < 2**53:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    ("p", "m", "omega"),
+    [(2, 1, 1), (3, 2, 2), (1, 0, 4), (2, 0, 3), (5, 2, 3), (4, 1, 4), (8, 7, 0), (8, 7, 2)],
+)
+def test_weight_pass_bitwise_on_both_sides_of_the_cut_off(p, m, omega):
+    """Ranges ending at the last numerator below 2^53 (the float route) and
+    just past it (the exact-integer route) both give the per-index bits."""
+    op = OperatorParams(lam=0.3, m=m, omega=omega)
+    top = _cut_off(p, m, omega)
+    for ks in (range(max(top - 40, 0), top + 1), range(max(top - 40, 0), top + 3)):
+        for weight, factor in ((blend_weight, 0), (blend_derivative_weight, 1)):
+            oracle = [_per_k_weight(k, p, op) * (k + p - m) ** factor for k in ks]
+            assert _hex(weight(ks, p, op)) == _hex(oracle)
+            assert _hex(weight(k, p, op) for k in (ks[0], ks[-1])) == _hex((oracle[0], oracle[-1]))
+
+
+def test_weight_pass_bitwise_p8_m7_takes_the_exact_route():
+    # 3008!/3001! is past 2^53, so the whole range takes the exact-integer route
+    op = OperatorParams(lam=0.61, m=7, omega=1)
+    ks = range(1, 3001)
+    assert falling_factorial(3008, 7) * 3001 >= 2**53
+    assert _hex(blend_weight(ks, 8, op)) == _hex(_per_k_weight(k, 8, op) for k in ks)
+
+
+def test_weight_pass_bitwise_past_two_to_the_53():
+    """With m = Omega = 0 every numerator is 1: only the K + p < 2^53 part of
+    the guard keeps indices that floats cannot hold off the float route."""
+    op = OperatorParams()
+    assert blend_weight(2**60, 1, op) == _per_k_weight(2**60, 1, op) == 1.0
+    # 2^60 + 128 rounds down to 2^60 while 2^60 + 129 rounds up: adding 1
+    # after rounding k would give 2^60 where the exact k + 1 gives 2^60 + 256
+    for k in (2**53 - 2, 2**53, 2**60, 2**60 + 128):
+        assert _hex([blend_derivative_weight(k, 1, op)]) == _hex([1.0 * (k + 1)])
+    for lam in (0.0, 0.7):
+        op = OperatorParams(lam=lam)
+        for ks in (range(2**53 - 20, 2**53 + 20), range(2**60 + 100, 2**60 + 140)):
+            assert _hex(blend_weight(ks, 1, op)) == _hex(_per_k_weight(k, 1, op) for k in ks)
+            oracle = [_per_k_weight(k, 1, op) * (k + 1) for k in ks]
+            assert _hex(blend_derivative_weight(ks, 1, op)) == _hex(oracle)
+
+
+def _python_tail(f, op, order, shift):
+    """The image tail as the Python builders formed it: per-index weights times
+    coefficients, w * a_{k+p} with w a float and a_{k+p} a complex."""
+    m = op.m
+    return [
+        (k + shift, (_per_k_weight(k, f.p, op) * (k + f.p - m) ** order) * c)
+        for k, c in zip(f.support(), f.coeffs)
+    ]
+
+
+def _complex_bits(values):
+    return [(complex(c).real.hex(), complex(c).imag.hex()) for c in values]
+
+
+def _image_cases():
+    doc = json.loads((GOLDEN / "k300_function.json").read_text())
+    golden = tuple(complex(re, im) for re, im in doc["coefficients"])
+    rng = np.random.default_rng(11)
+    mixed = (rng.standard_normal(210) + 1j * rng.standard_normal(210)).tolist()
+    mixed[::7] = [complex(-0.0, 5e-324), complex(5e-324, -0.0), complex(-0.0, -0.0)] * 10
+    yield MultivalentFunction(1, 1, golden), OperatorParams()
+    yield MultivalentFunction(1, 1, golden[5:]), OperatorParams(lam=0.7, omega=2)
+    yield MultivalentFunction(3, 2, tuple(mixed)), OperatorParams(lam=0.45, m=1, omega=3)
+    yield MultivalentFunction(8, 1, tuple(mixed)), OperatorParams(lam=0.2, m=7, omega=1)
+    yield MultivalentFunction(2, 4), OperatorParams(lam=0.5, m=1, omega=1)
+
+
+def test_image_builders_bitwise_match_python_products():
+    """Dense images and the series built from them carry the bits, signed
+    zeros and subnormals included, of the Python products they replaced."""
+    saw_signed_zero = saw_subnormal = False
+    for f, op in _image_cases():
+        for family, series in ((VALUE, blend_normalized), (DERIVATIVE, blend_derivative_normalized)):
+            tail = _python_tail(f, op, family.order, 0)
+            dense = [0j] * (f.truncation_order + 1 if f.coeffs else 1)
+            dense[0] = complex(falling_factorial(f.p, op.m + family.order))
+            for e, c in tail:
+                dense[e] = c
+            assert _complex_bits(family.image(f, op).tolist()) == _complex_bits(dense)
+            s = series(f, op)
+            assert s.lead_exp == 0 and s.lead_coeff == dense[0]
+            assert [e for e, _ in s.tail] == [e for e, _ in tail]
+            assert _complex_bits(c for _, c in s.tail) == _complex_bits(c for _, c in tail)
+            assert type(s.lead_coeff) is complex and all(type(c) is complex for _, c in s.tail)
+            parts = [x for _, c in tail for x in (c.real, c.imag)]
+            saw_signed_zero |= any(x == 0.0 and math.copysign(1.0, x) < 0 for x in parts)
+            saw_subnormal |= any(0.0 < abs(x) < 2.2250738585072014e-308 for x in parts)
+        whole = salagean_blend(f, op)
+        shift = f.p - op.m
+        tail = _python_tail(f, op, 0, shift)
+        assert whole.lead_exp == shift and [e for e, _ in whole.tail] == [e for e, _ in tail]
+        assert _complex_bits(c for _, c in whole.tail) == _complex_bits(c for _, c in tail)
+    assert saw_signed_zero and saw_subnormal
+
+
+def test_image_product_overflow_names_its_exponent():
+    # the weight at k = 3 is finite; times 1e300 it is not
+    f = MultivalentFunction(3, 1, (0.5, 0j, complex(1.0, 1e300)))
+    op = OperatorParams(lam=1.0, m=2, omega=300)
+    with np.errstate(all="raise"):
+        for build, e in ((salagean_blend, 4), (blend_normalized, 3), (blend_derivative_normalized, 3)):
+            with pytest.raises(DomainError, match=f"tail coefficient at exponent {e} is not finite"):
+                build(f, op)
