@@ -282,62 +282,55 @@ def cmd_check(args) -> int:
     }
     print(f"criterion : {args.criterion}")
 
+    # each branch prints its verdicts and sets the report verdict, any further
+    # report fields and, for a falsification, the event text
+    fields: dict = {}
+    event = None
     if args.criterion == "thm211":
         pair = criteria.transfer_check(f, g, op, nb, args.grid)
+        verdict = pair.conclusion
         print("hypothesis (derivative-side sup bound)")
         _print_verdict("  ", pair.hypothesis)
         print("conclusion (value-side sup bound)")
-        _print_verdict("  ", pair.conclusion)
-        doc["verdict"] = pair.conclusion.to_dict()
-        doc["hypothesis"] = pair.hypothesis.to_dict()
+        _print_verdict("  ", verdict)
+        fields["hypothesis"] = pair.hypothesis.to_dict()
         if pair.falsification:
-            print("FALSIFICATION EVENT: hypothesis held but conclusion failed", file=sys.stderr)
-        _write_document(doc, args.out)
-        return EXIT_HOLDS if pair.conclusion.holds else EXIT_FAILS
-
-    if args.criterion in ("nec-n", "nec-m"):
+            event = "hypothesis held but conclusion failed"
+    elif args.criterion in ("nec-n", "nec-m"):
         if args.phi is None:
             raise UsageError("--phi is required for the nec-n and nec-m criteria")
         align = criteria.ArgAlignment(phi=args.phi, tolerance=args.tolerance)
         check = criteria.necessary_n if args.criterion == "nec-n" else criteria.necessary_m
         verdict = check(f, g, op, nb, align, grid=args.grid)
         _print_verdict("", verdict)
-        doc["verdict"] = verdict.to_dict()
         if verdict.falsification:
-            print("FALSIFICATION EVENT: verified hypotheses, failed conclusion", file=sys.stderr)
-        _write_document(doc, args.out)
-        return EXIT_HOLDS if verdict.holds else EXIT_FAILS
-
-    if args.criterion in ("suff-n", "suff-m"):
+            event = "verified hypotheses, failed conclusion"
+    elif args.criterion in ("suff-n", "suff-m"):
         check = criteria.sufficient_n if args.criterion == "suff-n" else criteria.sufficient_m
         verdict = check(f, g, op, nb)
         _print_verdict("", verdict)
-        doc["verdict"] = verdict.to_dict()
-        _write_document(doc, args.out)
-        return EXIT_HOLDS if verdict.holds else EXIT_FAILS
+    else:
+        # member-n / member-m: also surface the sum criterion, whose holding
+        # guarantees membership; disagreement in that direction is a falsification
+        member = criteria.membership_n if args.criterion == "member-n" else criteria.membership_m
+        suff = criteria.sufficient_n if args.criterion == "member-n" else criteria.sufficient_m
+        verdict = member(f, g, op, nb, args.grid)
+        companion = suff(f, g, op, nb)
+        _print_verdict("", verdict)
+        print("sufficient-side companion")
+        _print_verdict("  ", companion)
+        falsified = companion.holds and not verdict.holds
+        if companion.holds:
+            print("note      : sum criterion holds, so membership is implied")
+        fields["sufficient_side"] = companion.to_dict()
+        fields["implied_by_sufficient"] = bool(companion.holds)
+        fields["falsification"] = bool(falsified)
+        if falsified:
+            event = "sum criterion holds but membership failed"
 
-    # member-n / member-m: also surface the sum criterion, whose holding
-    # guarantees membership; disagreement in that direction is a falsification
-    member = criteria.membership_n if args.criterion == "member-n" else criteria.membership_m
-    suff = criteria.sufficient_n if args.criterion == "member-n" else criteria.sufficient_m
-    verdict = member(f, g, op, nb, args.grid)
-    companion = suff(f, g, op, nb)
-    _print_verdict("", verdict)
-    print("sufficient-side companion")
-    _print_verdict("  ", companion)
-    falsified = companion.holds and not verdict.holds
-    if companion.holds:
-        print("note      : sum criterion holds, so membership is implied")
-    doc["verdict"] = verdict.to_dict()
-    doc["sufficient_side"] = companion.to_dict()
-    doc["implied_by_sufficient"] = bool(companion.holds)
-    doc["falsification"] = bool(falsified)
-    if falsified:
-        print(
-            "FALSIFICATION EVENT: sum criterion holds but membership failed",
-            file=sys.stderr,
-        )
-    _write_document(doc, args.out)
+    if event is not None:
+        print(f"FALSIFICATION EVENT: {event}", file=sys.stderr)
+    _write_document({**doc, "verdict": verdict.to_dict(), **fields}, args.out)
     return EXIT_HOLDS if verdict.holds else EXIT_FAILS
 
 

@@ -204,11 +204,15 @@ def threshold_m(delta: float, alpha: float, beta: float, p: int, m: int) -> floa
     return delta - delta_lower_bound_m(p, m, alpha, beta)
 
 
-def _require_compatible(f: MultivalentFunction, g: MultivalentFunction) -> None:
+def _require_compatible(
+    f: MultivalentFunction, g: MultivalentFunction, op: OperatorParams
+) -> None:
+    """The pair shares (p, n) and the operator needs p > m."""
     if f.p != g.p or f.n != g.n:
         raise DomainError(
             f"functions must share (p, n); got ({f.p}, {f.n}) and ({g.p}, {g.n})"
         )
+    op.require_valence(f.p)
 
 
 def _require_admissible(delta: float, bound: float, label: str) -> None:
@@ -226,8 +230,7 @@ def _admitted_bound(
     nb: NeighborhoodParams,
 ) -> float:
     """Check the pair, the operator and delta against `family`; return its bound."""
-    _require_compatible(f, g)
-    op.require_valence(f.p)
+    _require_compatible(f, g, op)
     bound = family.bound(f.p, op.m, nb.alpha, nb.beta)
     _require_admissible(nb.delta, bound, family.label)
     return bound
@@ -470,8 +473,7 @@ def _necessary(
     (at `grid`) membership are verified first, so a failed bound is a
     falsification.
     """
-    _require_compatible(f, g)
-    op.require_valence(f.p)
+    _require_compatible(f, g, op)
     if not (0.0 <= nb.alpha < nb.beta <= math.pi):
         raise HypothesisViolationError(
             "necessity bounds require 0 <= alpha < beta <= pi; "
@@ -652,8 +654,7 @@ def transfer_check(
     hypothesis holds the conclusion is guaranteed; a violation is marked as a
     falsification event on the conclusion verdict.
     """
-    _require_compatible(f, g)
-    op.require_valence(f.p)
+    _require_compatible(f, g, op)
     p, n, m = f.p, f.n, op.m
     radical_n = DERIVATIVE.bound(p, m, nb.alpha, nb.beta)
     _require_admissible(nb.delta, radical_n / (p + n - m), "transfer")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,16 +47,12 @@ _MASK64 = (1 << 64) - 1
 GENERATOR_TARGETS = ("inside_sufficient_n", "inside_sufficient_m", "unconstrained")
 
 
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Single source of truth for the numeric policy of the suites."""
-
-    sup_compare: float = 1e-6
-    lemma: float = 1e-6
-    verdict_rel: float = 1e-12
-
-
-STANDARD_TOLERANCES = ToleranceProfile()
+#: Acceptance tolerances of the suites: the production boundary supremum
+#: against the FFT oracle, the max-modulus lemma ratio, and verdicts under a
+#: common rotation of both phase twists (relative).
+SUP_COMPARE_TOL = 1e-6
+LEMMA_TOL = 1e-6
+VERDICT_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,16 +87,7 @@ class InstanceSpec:
         return OperatorParams(lam=self.lam, m=self.m, omega=self.omega)
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "m": self.m,
-            "omega": self.omega,
-            "lam": self.lam,
-            "trunc": self.trunc,
-            "coeff_magnitude": self.coeff_magnitude,
-            "seed": int(self.seed),
-        }
+        return {**asdict(self), "seed": int(self.seed)}
 
 
 def _rng_for(seed: int, *path: int) -> np.random.Generator:
@@ -116,13 +103,40 @@ def _capped_gaussian(rng: np.random.Generator, count: int, cap: float) -> np.nda
     return vals
 
 
-def _pair_from_twisted(b, twisted, alpha, beta, p, n):
-    """Build (f, g) so that e^{i alpha} a_k - e^{i beta} b_k equals twisted[k-n]."""
+def _draw(spec: InstanceSpec, low: float):
+    """Angles, coefficients b and twisted differences d, an extra in [low, 2.0)
+    and a fraction in (0, 0.95], drawn in that order from the spec's seed."""
+    rng = _rng_for(spec.seed)
+    alpha = float(rng.uniform(-math.pi, math.pi))
+    beta = alpha - float(rng.uniform(-math.pi, math.pi))
+    count = spec.trunc - spec.n + 1
+    b = _capped_gaussian(rng, count, spec.coeff_magnitude)
+    d = _capped_gaussian(rng, count, spec.coeff_magnitude)
+    extra = float(rng.uniform(low, 2.0))
+    fraction = 0.95 * (1.0 - float(rng.random()))
+    return alpha, beta, b, d, extra, fraction
+
+
+def _rescaled(spec: InstanceSpec, family: criteria.Family, d, total: float):
+    """d scaled so that the family's weighted sum of its moduli equals `total`."""
+    weights = family.weights(range(spec.n, spec.trunc + 1), spec.p, spec.operator)
+    mass = math.fsum(w * abs(x) for w, x in zip(weights, d))
+    if mass == 0.0:
+        raise DomainError("degenerate draw: all difference coefficients vanish")
+    return d * (total / mass)
+
+
+def _instance(spec: InstanceSpec, alpha: float, beta: float, b, d, delta: float):
+    """(f, g, nb) with e^{i alpha} a_k - e^{i beta} b_k equal to d_k."""
     ua = cmath.exp(1j * alpha)
     ub = cmath.exp(1j * beta)
     inv = ua.conjugate()  # 1/e^{i alpha} on the unit circle
-    a = [inv * (ub * bk + tk) for bk, tk in zip(b, twisted)]
-    return MultivalentFunction(p, n, tuple(a)), MultivalentFunction(p, n, tuple(b))
+    a = [inv * (ub * bk + tk) for bk, tk in zip(b, d)]
+    return (
+        MultivalentFunction(spec.p, spec.n, tuple(a)),
+        MultivalentFunction(spec.p, spec.n, tuple(b)),
+        NeighborhoodParams(alpha, beta, delta),
+    )
 
 
 def generate_pair(spec: InstanceSpec, target: str = "unconstrained"):
@@ -135,38 +149,14 @@ def generate_pair(spec: InstanceSpec, target: str = "unconstrained"):
     """
     if target not in GENERATOR_TARGETS:
         raise DomainError(f"unknown generator target {target!r}")
-    rng = _rng_for(spec.seed)
-    alpha = float(rng.uniform(-math.pi, math.pi))
-    gap = float(rng.uniform(-math.pi, math.pi))
-    beta = alpha - gap
-    count = spec.trunc - spec.n + 1
-    b = _capped_gaussian(rng, count, spec.coeff_magnitude)
-    d = _capped_gaussian(rng, count, spec.coeff_magnitude)
-    margin = float(rng.uniform(0.05, 2.0))
-    fraction = 0.95 * (1.0 - float(rng.random()))  # in (0, 0.95]
-
-    op = spec.operator
-    strict_bound = criteria.delta_lower_bound_n(spec.p, spec.m, alpha, beta)
-    delta = strict_bound + margin
-
+    alpha, beta, b, d, margin, fraction = _draw(spec, 0.05)
+    delta = criteria.DERIVATIVE.bound(spec.p, spec.m, alpha, beta) + margin
     if target != "unconstrained":
-        if target == "inside_sufficient_n":
-            weight = blend_derivative_weight
-            radical = strict_bound
-        else:
-            weight = blend_weight
-            radical = criteria.delta_lower_bound_m(spec.p, spec.m, alpha, beta)
-        threshold = delta - radical
-        if threshold <= 0.0:
-            raise DomainError("unsatisfiable target: forced threshold is nonpositive")
-        weights = weight(range(spec.n, spec.trunc + 1), spec.p, op)
-        mass = math.fsum(w * abs(x) for w, x in zip(weights, d))
-        if mass == 0.0:
-            raise DomainError("degenerate draw: all difference coefficients vanish")
-        d = d * (fraction * threshold / mass)
-
-    f, g = _pair_from_twisted(b, d, alpha, beta, spec.p, spec.n)
-    return f, g, NeighborhoodParams(alpha, beta, delta)
+        family = criteria.DERIVATIVE if target == "inside_sufficient_n" else criteria.VALUE
+        # positive: the derivative-side bound is (p-m) >= 1 times the value-side one
+        threshold = delta - family.bound(spec.p, spec.m, alpha, beta)
+        d = _rescaled(spec, family, d, fraction * threshold)
+    return _instance(spec, alpha, beta, b, d, delta)
 
 
 def generate_transfer_pair(spec: InstanceSpec):
@@ -177,28 +167,11 @@ def generate_transfer_pair(spec: InstanceSpec):
     it, which requires delta (p+n-m) > 2 * radical; delta is drawn exactly
     there plus a uniform excess.
     """
-    rng = _rng_for(spec.seed)
-    alpha = float(rng.uniform(-math.pi, math.pi))
-    gap = float(rng.uniform(-math.pi, math.pi))
-    beta = alpha - gap
-    count = spec.trunc - spec.n + 1
-    b = _capped_gaussian(rng, count, spec.coeff_magnitude)
-    d = _capped_gaussian(rng, count, spec.coeff_magnitude)
-    excess = float(rng.uniform(0.02, 2.0))
-    fraction = 0.95 * (1.0 - float(rng.random()))
-
-    op = spec.operator
-    radical = criteria.delta_lower_bound_n(spec.p, spec.m, alpha, beta)
-    reach = spec.p + spec.n - spec.m
-    delta = (2.0 * radical + excess) / reach
-    weights = blend_derivative_weight(range(spec.n, spec.trunc + 1), spec.p, op)
-    mass = math.fsum(w * abs(x) for w, x in zip(weights, d))
-    if mass == 0.0:
-        raise DomainError("degenerate draw: all difference coefficients vanish")
-    d = d * (fraction * excess / mass)
-
-    f, g = _pair_from_twisted(b, d, alpha, beta, spec.p, spec.n)
-    return f, g, NeighborhoodParams(alpha, beta, delta)
+    alpha, beta, b, d, excess, fraction = _draw(spec, 0.02)
+    radical = criteria.DERIVATIVE.bound(spec.p, spec.m, alpha, beta)
+    delta = (2.0 * radical + excess) / (spec.p + spec.n - spec.m)
+    d = _rescaled(spec, criteria.DERIVATIVE, d, fraction * excess)
+    return _instance(spec, alpha, beta, b, d, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +219,7 @@ def lemma_witness(
     n_w: int,
     r0: float,
     grid: int = 1 << 16,
-    tolerance: float = STANDARD_TOLERANCES.lemma,
+    tolerance: float = LEMMA_TOL,
 ) -> LemmaWitness:
     """Locate the max-modulus point of w on |z| = r0 and check the ratio there.
 
@@ -432,7 +405,6 @@ def _suite_rotation_invariance(rng) -> dict | None:
     op = spec.operator
     t = float(rng.uniform(-math.pi, math.pi))
     shifted = NeighborhoodParams(nb.alpha + t, nb.beta + t, nb.delta)
-    rel = STANDARD_TOLERANCES.verdict_rel
     grid = 1024
 
     def verdicts(params):
@@ -454,9 +426,9 @@ def _suite_rotation_invariance(rng) -> dict | None:
             y = getattr(moved, field_name)
             if field_name == "margin":
                 anchor = max(1.0, abs(base.lhs), abs(base.threshold))
-                ok = abs(x - y) <= rel * anchor
+                ok = abs(x - y) <= VERDICT_REL_TOL * anchor
             else:
-                ok = _rel_close(x, y, rel)
+                ok = _rel_close(x, y, VERDICT_REL_TOL)
             if not ok:
                 return {
                     **_serialize_instance(spec, f, g, nb),
@@ -607,7 +579,7 @@ def _suite_oracle_agreement(rng) -> dict | None:
     c = c / scale  # keeps the boundary modulus at most 1, so 1e-6 is meaningful
     produced = max_modulus_on_circle(c, DEFAULT_GRID)[0]
     sampled = sup_oracle(c, 1 << 18)
-    if abs(produced - sampled) <= STANDARD_TOLERANCES.sup_compare:
+    if abs(produced - sampled) <= SUP_COMPARE_TOL:
         return None
     return {
         "degree": degree,

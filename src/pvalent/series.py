@@ -61,17 +61,14 @@ def phase_gap_radical(alpha: float, beta: float) -> float:
 
 
 def falling_factorial(top: int, count: int) -> int:
-    """Product top (top-1) ... (top-count+1), i.e. top!/(top-count)! for 0 <= count <= top.
+    """top!/(top-count)!, the product top (top-1) ... (top-count+1) of `count` factors.
 
-    Computed as an exact integer product of `count` factors, never via full
-    factorials, so the float conversion downstream rounds at most once.
+    An exact integer (`math.perm`), never formed from full factorials, so
+    the float conversion downstream rounds at most once.
     """
     if count < 0:
         raise DomainError("falling_factorial: count must be nonnegative")
-    out = 1
-    for j in range(count):
-        out *= top - j
-    return out
+    return math.perm(top, count)
 
 
 def _require_int(value, name: str) -> int:
@@ -179,10 +176,6 @@ class NeighborhoodParams:
         if self.delta <= 0.0:
             raise DomainError(f"delta must be positive, got {self.delta}")
 
-    @property
-    def angle_gap(self) -> float:
-        return wrap_angle(self.alpha - self.beta)
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -281,12 +274,8 @@ def _weight_pass(ks: range, p: int, params: OperatorParams, derivative: bool) ->
     base = p - m
     if base < 1:
         raise DomainError(f"operator weights need p > m, got p={p}, m={m}")
-    # log2 of the largest weight is at least omega log2((K+p-m)/(p-m)), every
-    # other factor being >= 1; past 1025 no float holds it, and for a huge
-    # omega the exact powers below would not finish.  Divided, not multiplied,
-    # so a huge integer omega is never converted to a float.
-    if ks and ks[-1] > 0 and omega > 1025 / math.log2((ks[-1] + base) / base):
-        raise _weight_overflow(p, m, omega)
+    if ks:
+        _require_float_weight(ks[-1], p, m, omega)
     den = base**omega
     perm = math.perm
     top = max(ks[0], ks[-1]) if ks else 0
@@ -324,6 +313,19 @@ def _weight_overflow(p: int, m: int, omega: int) -> DomainError:
     return DomainError(f"operator weight overflows a float (p={p}, m={m}, Omega={omega})")
 
 
+def _require_float_weight(k: int, p: int, m: int, omega: int) -> None:
+    """Raise the weight overflow before any exact power when W(k) cannot be a float.
+
+    log2 W(k) is at least omega log2((k+p-m)/(p-m)) for k >= 1, every other
+    factor being >= 1; past 1025 no float holds it, and for a huge omega the
+    exact powers would not finish.  Divided, not multiplied, so a huge
+    integer omega is never converted to a float.
+    """
+    base = p - m
+    if k > 0 and omega > 1025 / math.log2((k + base) / base):
+        raise _weight_overflow(p, m, omega)
+
+
 def blend_weight(k: int | range, p: int, params: OperatorParams) -> float | list[float]:
     """Weight multiplying a_{k+p} in the blended operator image (value side).
 
@@ -351,11 +353,14 @@ def exact_blend_weight(k: int, p: int, params: OperatorParams) -> Fraction:
     """Exact rational value of `blend_weight` (lam taken at its binary value).
 
     Independent big-integer route used to cross-check the floating-point
-    weights; never used on the hot path.
+    weights; never used on the hot path.  Where omega log2((k+p-m)/(p-m))
+    exceeds 1025, so that no float holds the weight, it raises the
+    DomainError `blend_weight` raises, before any power is formed.
     """
     base = p - params.m
     if base < 1:
         raise DomainError(f"exact_blend_weight needs p > m, got p={p}, m={params.m}")
+    _require_float_weight(k, p, params.m, params.omega)
     core = Fraction(
         falling_factorial(k + p, params.m) * (k + p - params.m) ** params.omega,
         base**params.omega,
@@ -486,7 +491,4 @@ def polyval(coeffs, z: complex) -> complex:
 
 def evaluate(s: TruncatedSeries, z: complex) -> complex:
     """Horner evaluation of the full polynomial, leading term included."""
-    dense = [0j] * (s.max_exponent + 1)
-    for e, c in s.terms():
-        dense[e] = c
-    return polyval(dense, z)
+    return polyval(s.dense_coefficients().tolist(), z)

@@ -8,6 +8,8 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -746,3 +748,86 @@ def test_finite_entries_whose_sum_overflows_load(cli, tmp_path):
     path = write_json(tmp_path / "f.json", {"p": 1, "n": 1, "coefficients": [[1e308, 0]] * 2})
     f, _ = cli.load_function_file(path)
     assert f.coeffs == (1e308 + 0j, 1e308 + 0j)
+
+
+# ---------------------------------------------------------------------------
+# argument-space fuzzing of the whole CLI, in-process
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def function_file_pair(draw):
+    """Valid f and g documents sharing p, n and the operator (p <= 3, K <= 16)."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    head = {
+        "p": p,
+        "n": n,
+        "m": draw(st.integers(0, p - 1)),
+        "lambda": draw(st.floats(0.0, 1.0)),
+        "Omega": draw(st.integers(0, 3)),
+    }
+    pair = st.lists(st.floats(-2.0, 2.0) | st.floats(-1e300, 1e300), min_size=2, max_size=2)
+    f = draw(st.lists(pair, max_size=17 - n))
+    g = draw(st.lists(pair, max_size=17 - n))
+    return {**head, "coefficients": f}, {**head, "coefficients": g}
+
+
+# finite floats up to 1e300 in magnitude, the non-finite spellings, pi-forms
+# and the empty string; small nonnegative floats, drawn most often, make a
+# verdict likelier
+number_texts = st.one_of(
+    st.floats(0.0, 4.0).map(repr),
+    st.floats(0.0, 4.0).map(repr),
+    st.floats(-1e300, 1e300).map(repr),
+    st.floats(-4.0, 4.0).map(lambda x: f"pi*{x!r}"),
+    st.sampled_from(["nan", "inf", "-inf", "pi*", "pi*nan", "-pi*inf", ""]),
+)
+
+
+@st.composite
+def cli_argv(draw, cli, paths: dict):
+    """An argv for any command; --grid and -K also take one past their caps."""
+    from pvalent.circlemax import MAX_GRID
+
+    def optional(flag, values):
+        return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["check", "apply", "construct", "suite"]))
+    if command == "apply":
+        argv = ["apply", paths["f"], *draw(st.sampled_from([[], ["--prime"]]))]
+    elif command == "construct":
+        truncations = st.integers(-2, 512) | st.just(cli.criteria.MAX_TRUNC + 1)
+        argv = ["construct", paths["g"], f"--delta={draw(number_texts)}",
+                f"-K={draw(truncations)}",
+                *optional("--alpha", number_texts), *optional("--beta", number_texts)]
+    elif command == "suite":
+        argv = ["suite", f"--suite={draw(st.sampled_from(sorted(cli.harness.SUITES)))}",
+                f"--trials={draw(st.integers(-1, 3))}",
+                *optional("--seed", st.integers(-(2**70), 2**70))]
+    else:
+        grids = st.integers(-2, 2**16) | st.just(MAX_GRID + 1)
+        argv = ["check", paths["f"], paths["g"],
+                f"--criterion={draw(st.sampled_from(cli.CRITERIA))}",
+                f"--delta={draw(number_texts)}",
+                *optional("--alpha", number_texts), *optional("--beta", number_texts),
+                *optional("--phi", number_texts), *optional("--tolerance", number_texts),
+                *optional("--grid", grids)]
+    return argv + optional("--out", st.just(paths["out"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(files=function_file_pair(), data=st.data())
+def test_fuzzed_arguments_exit_with_a_documented_code(cli, tmp_path_factory, files, data):
+    """Any argv over valid files exits 0-3; no exception escapes as exit 4 or a traceback."""
+    work = tmp_path_factory.getbasetemp()
+    f_path = write_json(work / "fuzz_f.json", files[0])
+    g_path = write_json(work / "fuzz_g.json", files[1])
+    paths = {"f": str(f_path), "g": str(g_path), "out": str(work / "fuzz_out.json")}
+    argv = data.draw(cli_argv(cli, paths))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    stderr = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, stderr)
+    assert "internal error" not in stderr and "Traceback" not in stderr, (argv, stderr)

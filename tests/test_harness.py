@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import cmath
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pvalent import (
+    GENERATOR_TARGETS,
     DomainError,
     FalsificationError,
     InstanceSpec,
@@ -25,6 +28,8 @@ from pvalent import (
     sufficient_n,
     transfer_check,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def spec_with(seed, **kw):
@@ -101,6 +106,48 @@ def test_generate_transfer_pair_forces_hypothesis():
         f, g, nb = generate_transfer_pair(spec)
         pair = transfer_check(f, g, spec.operator, nb)
         assert pair.hypothesis.holds
+
+
+GOLDEN_DRAW_SPECS = (
+    dict(p=1, n=1, m=0, omega=0, lam=0.0, trunc=1, seed=0),
+    dict(p=2, n=1, m=0, omega=1, lam=0.4, trunc=8, seed=321),
+    dict(p=2, n=2, m=1, omega=3, lam=1.0, trunc=12, seed=7),
+    dict(p=3, n=1, m=2, omega=2, lam=0.7, trunc=12, coeff_magnitude=0.25, seed=2**63 - 1),
+    dict(p=4, n=3, m=1, omega=0, lam=0.5, trunc=9, coeff_magnitude=3.0, seed=12345),
+    dict(p=4, n=1, m=3, omega=4, lam=0.1, trunc=10, seed=2**40 + 3),
+    dict(p=1, n=3, m=0, omega=2, lam=0.9, trunc=12, coeff_magnitude=1e-3, seed=99),
+    dict(p=3, n=2, m=0, omega=1, lam=0.25, trunc=5, coeff_magnitude=10.0, seed=-5),
+)
+
+
+def generator_draws_document() -> dict:
+    """float.hex of every drawn coefficient and neighborhood parameter of
+    `generate_pair` (each target) and `generate_transfer_pair` on fixed specs."""
+
+    def record(spec, generator, f, g, nb):
+        return {
+            "spec": spec.to_dict(),
+            "generator": generator,
+            "alpha": nb.alpha.hex(),
+            "beta": nb.beta.hex(),
+            "delta": nb.delta.hex(),
+            "f": [[c.real.hex(), c.imag.hex()] for c in f.coeffs],
+            "g": [[c.real.hex(), c.imag.hex()] for c in g.coeffs],
+        }
+
+    draws = []
+    for kw in GOLDEN_DRAW_SPECS:
+        spec = InstanceSpec(**kw)
+        for target in GENERATOR_TARGETS:
+            draws.append(record(spec, target, *generate_pair(spec, target)))
+        draws.append(record(spec, "transfer", *generate_transfer_pair(spec)))
+    return {"draws": draws}
+
+
+def test_golden_generator_draws():
+    """Seeded draws are pinned bit for bit across versions, not only within one run."""
+    golden = json.loads((GOLDEN / "generator_draws.json").read_text(encoding="utf-8"))
+    assert generator_draws_document() == golden
 
 
 # ---------------------------------------------------------------------------

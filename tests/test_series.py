@@ -5,6 +5,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from pvalent import (
 from pvalent.criteria import DERIVATIVE, VALUE
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 finite_complex = st.complex_numbers(
     max_magnitude=3.0, allow_nan=False, allow_infinity=False
@@ -367,6 +371,39 @@ def test_exact_weight_values():
     op = OperatorParams(lam=0.5, m=1, omega=1)
     assert exact_blend_weight(1, 2, op) == Fraction(9)
     assert exact_blend_derivative_weight(1, 2, op) == Fraction(18)
+
+
+def test_exact_weight_huge_omega_is_a_domain_error_without_exact_powers():
+    # 2**(10**30) would never finish; the log2 estimate rejects it first, as
+    # for the float weights.  A subprocess, so that a regression times out.
+    code = (
+        "from pvalent import DomainError, OperatorParams, exact_blend_derivative_weight\n"
+        "try:\n"
+        "    exact_blend_derivative_weight(1, 2, OperatorParams(m=1, omega=10**30))\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=5
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("operator weight overflows a float (p=2, m=1, Omega=")
+
+
+def test_exact_weight_overflow_guard_uses_the_float_weights_bound():
+    # W(1) = 3 * 2^Omega for p = 2, m = 1, lam = 0: no float holds it, but the
+    # guard's lower bound Omega on log2 W(1) passes 1025 only from Omega = 1026
+    for omega in (1024, 1025):
+        op = OperatorParams(m=1, omega=omega)
+        assert exact_blend_weight(1, 2, op) == 3 * 2**omega
+        with pytest.raises(DomainError, match="overflows"):
+            blend_weight(1, 2, op)
+    op = OperatorParams(m=1, omega=1026)
+    for weight in (exact_blend_weight, exact_blend_derivative_weight, blend_weight):
+        with pytest.raises(DomainError, match="overflows"):
+            weight(1, 2, op)
 
 
 # ---------------------------------------------------------------------------
