@@ -130,13 +130,15 @@ def max_modulus_on_circle(coeffs, grid: int = DEFAULT_GRID) -> tuple[float, floa
     T + T' h + M h^2 / 2 over its ends h falls below the best value found;
     no bracket takes more rounds than bisection needs to shrink a step
     to `ANGLE_RESOLUTION`.  The reported value is never below the best
-    sample.  Grids below 8 or above 2^22 points are rejected.
+    sample.  Grids outside [8, 2^22] and non-finite coefficients are rejected.
     """
     if grid < MIN_GRID:
         raise DomainError(f"grid must be at least {MIN_GRID}, got {grid}")
     if grid > MAX_GRID:
         raise DomainError(f"grid must be at most {MAX_GRID}, got {grid}")
     c = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    if not np.isfinite(c).all():
+        raise DomainError(f"coefficient of z^{np.flatnonzero(~np.isfinite(c))[0]} is not finite")
     nonzero = np.flatnonzero(c)
     if nonzero.size == 0:
         return 0.0, 0.0

@@ -5,8 +5,9 @@ derivative order of the blended image B(f) they compare: order 1, the
 derivative side (functions suffixed ``_n``), compares B(f)'/z^{p-m-1};
 order 0, the value side (``_m``), compares B(f)/z^{p-m}.  A `Family` record
 holds that order, and the order alone picks the family's coefficient
-weight, its image and its admissibility bound
-p!/(p-m-order)! sqrt(2[1-cos(alpha-beta)]).  For each family there is
+weight, the constant term p!/(p-m-order)! of its image and its
+admissibility bound p!/(p-m-order)! sqrt(2[1-cos(alpha-beta)]).  For each
+family there is
 
 * a definitional membership test: the boundary supremum of the twisted
   difference e^{i alpha} P_f - e^{i beta} P_g must stay strictly below
@@ -39,7 +40,8 @@ from .series import (
     MultivalentFunction,
     NeighborhoodParams,
     OperatorParams,
-    _dense_image,
+    _image_tail,
+    _weighted_products,
     blend_derivative_normalized,
     blend_derivative_weight,
     blend_normalized,
@@ -49,9 +51,10 @@ from .series import (
     wrap_angle,
 )
 
-# The checks build their images with `_dense_image`.  `blend_normalized` and
-# `blend_derivative_normalized` are imported only to stay attributes of this
-# module: the benchmark's tracer (bench/tracing.py) wraps them here by name.
+# The checks form the image products only to check that they are finite
+# (`_image_tail`).  `blend_normalized` and `blend_derivative_normalized` are
+# imported only to stay attributes of this module: the benchmark's tracer
+# (bench/tracing.py) wraps them here by name.
 
 logger = logging.getLogger(__name__)
 
@@ -150,12 +153,6 @@ class Family:
         """Coefficient weights (k+p-m)^order W(k) for every k in `ks`."""
         return (blend_derivative_weight if self.order else blend_weight)(ks, p, op)
 
-    def image(self, f: MultivalentFunction, op: OperatorParams) -> np.ndarray:
-        """Dense coefficients of the order-th derivative of the blended image,
-        normalised to a polynomial: p!/(p-m-order)! at index 0, the weighted
-        coefficient w_k a_{k+p} at index k."""
-        return _dense_image(f, op, self.order)
-
     def notes(self, nb: NeighborhoodParams, p: int, m: int) -> tuple[str, ...]:
         """Value side only: flag a delta between the two published value-side bounds."""
         if self.order:
@@ -246,20 +243,16 @@ def _indices(f: MultivalentFunction, g: MultivalentFunction) -> range:
     return range(f.n, max(f.truncation_order, g.truncation_order) + 1)
 
 
-def _twisted_differences(
-    f: MultivalentFunction, g: MultivalentFunction, alpha: float, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of e^{i alpha} a_{k+p} - e^{i beta} b_{k+p}
-    for each k in `_indices(f, g)`.
-
-    The shorter coefficient list is implicitly zero-extended.  The parts are
-    formed from separate real multiplies and subtractions in the order CPython
-    uses for complex products, so they carry the bits of the Python
-    expression ua * a - ub * b; numpy's complex multiply may fuse the same
-    steps into FMAs and round differently.
-    """
-    ua = cmath.exp(1j * alpha)
-    ub = cmath.exp(1j * beta)
+def _differences(
+    f: MultivalentFunction, g: MultivalentFunction, nb: NeighborhoodParams
+) -> tuple[np.ndarray, ...]:
+    """Over `_indices(f, g)`: a_{k+p} and b_{k+p} (the shorter list zero-extended)
+    and the real and imaginary parts of d_k = e^{i alpha} a_{k+p} - e^{i beta} b_{k+p},
+    which no family changes.  The parts are formed from separate real multiplies
+    and subtractions in CPython's order for complex products, so they carry the bits
+    of ua * a - ub * b; numpy's complex multiply may fuse the steps into FMAs."""
+    ua = cmath.exp(1j * nb.alpha)
+    ub = cmath.exp(1j * nb.beta)
     size = len(_indices(f, g))
     a = np.zeros(size, dtype=np.complex128)
     b = np.zeros(size, dtype=np.complex128)
@@ -268,7 +261,14 @@ def _twisted_differences(
     with np.errstate(over="ignore", invalid="ignore"):
         re = (ua.real * a.real - ua.imag * a.imag) - (ub.real * b.real - ub.imag * b.imag)
         im = (ua.real * a.imag + ua.imag * a.real) - (ub.real * b.imag + ub.imag * b.real)
-    return re, im
+    return a, b, re, im
+
+
+def _weights(
+    family: Family, f: MultivalentFunction, g: MultivalentFunction, op: OperatorParams
+) -> np.ndarray:
+    """The family's weights w_k over `_indices(f, g)`, from one weight pass."""
+    return np.array(family.weights(_indices(f, g), f.p, op), dtype=np.float64)
 
 
 def _weighted_sum(weights, re, im=0.0) -> float:
@@ -319,10 +319,10 @@ def _sufficient(
     bound = _admitted_bound(family, f, g, op, nb)
     notes = family.notes(nb, f.p, op.m)
     if align is None:
-        diffs = _twisted_differences(f, g, nb.alpha, nb.beta)
+        _, _, re, im = _differences(f, g, nb)
     else:
-        diffs = (_aligned_modulus_differences(f, g, nb, align),)
-    lhs = _weighted_sum(family.weights(_indices(f, g), f.p, op), *diffs)
+        re, im = _aligned_modulus_differences(f, g, nb, align), 0.0
+    lhs = _weighted_sum(_weights(family, f, g, op), re, im)
     thr = nb.delta - bound
     return Verdict(lhs <= thr, lhs, thr, notes=notes)
 
@@ -384,30 +384,29 @@ def sufficient_m_modulus(
 # ---------------------------------------------------------------------------
 
 
-def phase_difference(cf: np.ndarray, cg: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Dense coefficients of e^{i alpha} cf - e^{i beta} cg (ascending, zero-extended).
-
-    The twists use numpy's complex multiply, whose last bits follow numpy's
-    CPU dispatch (FMA from X86_V3 on), so supremum reports can differ in the
-    last digit between machines.
-    """
-    out = np.zeros(max(cf.size, cg.size), dtype=np.complex128)
-    out[: cf.size] += cmath.exp(1j * alpha) * cf
-    out[: cg.size] -= cmath.exp(1j * beta) * cg
-    return out
-
-
-def _supremum(
+def phase_difference(
     family: Family,
     f: MultivalentFunction,
-    g: MultivalentFunction,
     op: OperatorParams,
     nb: NeighborhoodParams,
-    grid: int,
-) -> float:
-    """Boundary supremum of the twisted difference of the family's images."""
-    diff = phase_difference(family.image(f, op), family.image(g, op), nb.alpha, nb.beta)
-    return max_modulus_on_circle(diff, grid)[0]
+    w: np.ndarray,
+    diffs: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """Dense e^{i alpha} P_f - e^{i beta} P_g for the family's images P, from the
+    pair's weights `w` and `_differences`: lead (e^{i alpha} - e^{i beta}),
+    lead = p!/(p-m-order)!, at index 0 and w_k d_k at index k, each with the bits
+    of that Python expression on any CPU.  The image products w_k a_{k+p} and
+    w_k b_{k+p} are formed only to check that they are finite: one past the
+    float range is the DomainError the image would raise.  Not exported; the
+    benchmark's tracer times it under this name."""
+    a, b, re, im = diffs
+    _image_tail(w, a, f.n)
+    _image_tail(w, b, f.n)
+    lead = falling_factorial(f.p, op.m + family.order)
+    out = np.zeros(f.n + w.size, dtype=np.complex128)
+    out[0] = lead * (cmath.exp(1j * nb.alpha) - cmath.exp(1j * nb.beta))
+    out[f.n :] = _weighted_products(w, re, im)
+    return out
 
 
 def _membership(
@@ -421,7 +420,8 @@ def _membership(
     """The family's boundary supremum against delta (strict)."""
     _admitted_bound(family, f, g, op, nb)
     notes = family.notes(nb, f.p, op.m)
-    lhs = _supremum(family, f, g, op, nb, grid)
+    poly = phase_difference(family, f, op, nb, _weights(family, f, g, op), _differences(f, g, nb))
+    lhs = max_modulus_on_circle(poly, grid)[0]
     return Verdict(lhs < nb.delta, lhs, nb.delta, notes=notes)
 
 
@@ -479,7 +479,7 @@ def _necessary(
             "necessity bounds require 0 <= alpha < beta <= pi; "
             f"got alpha={nb.alpha!r}, beta={nb.beta!r}"
         )
-    re, im = _twisted_differences(f, g, nb.alpha, nb.beta)
+    _, _, re, im = diffs = _differences(f, g, nb)
     for k, x, y in zip(_indices(f, g), re.tolist(), im.tolist()):
         d = complex(x, y)
         if d == 0:
@@ -490,18 +490,20 @@ def _necessary(
                 f"twisted-difference alignment arg(d_k)=k*phi fails at index k={k}: "
                 f"off by {gap!r} rad (tolerance {align.tolerance!r})"
             )
-    inside = _membership(family, f, g, op, nb, grid)
-    if not inside.holds:
+    _admitted_bound(family, f, g, op, nb)
+    notes = family.notes(nb, f.p, op.m)
+    w = _weights(family, f, g, op)
+    sup = max_modulus_on_circle(phase_difference(family, f, op, nb, w, diffs), grid)[0]
+    if not sup < nb.delta:
         raise HypothesisViolationError(
             "membership hypothesis fails: boundary supremum "
-            f"{inside.lhs!r} is not below delta={nb.delta!r}"
+            f"{sup!r} is not below delta={nb.delta!r}"
         )
-    lhs = _weighted_sum(family.weights(_indices(f, g), f.p, op), re, im)
+    lhs = _weighted_sum(w, re, im)
     thr = nb.delta - falling_factorial(f.p, op.m + 1) * (
         math.cos(nb.alpha) - math.cos(nb.beta)
     )
     holds = lhs <= thr
-    notes = inside.notes
     if not holds:
         notes += (_FALSIFICATION_NOTE,)
         logger.error(
@@ -584,13 +586,9 @@ def telescoping_partner(
     and keeps a huge omega fast.  A `trunc` above `MAX_TRUNC` is a
     DomainError.
     """
-    op.require_valence(g.p)
     p, n, m = g.p, g.n, op.m
-    radical = delta_lower_bound_n(p, m, nb.alpha, nb.beta)
-    if nb.delta <= radical + ADMISSIBILITY_MARGIN:
-        raise InadmissibleDeltaError(
-            f"construction degenerate: delta={nb.delta!r} must exceed {radical!r}"
-        )
+    radical = DERIVATIVE.bound(p, m, nb.alpha, nb.beta)
+    _require_admissible(nb.delta, radical, "construction")
     trunc = int(trunc)
     if trunc < n:
         raise DomainError(f"truncation order {trunc} must be at least n={n}")
@@ -660,11 +658,14 @@ def transfer_check(
     _require_admissible(nb.delta, radical_n / (p + n - m), "transfer")
 
     hyp_thr = nb.delta * (p + n - m) - radical_n
-    hyp_lhs = _supremum(DERIVATIVE, f, g, op, nb, grid)
+    diffs = _differences(f, g, nb)
+    w = _weights(DERIVATIVE, f, g, op)
+    hyp_lhs = max_modulus_on_circle(phase_difference(DERIVATIVE, f, op, nb, w, diffs), grid)[0]
     hypothesis = Verdict(hyp_lhs < hyp_thr, hyp_lhs, hyp_thr)
 
     con_thr = nb.delta + VALUE.bound(p, m, nb.alpha, nb.beta)
-    con_lhs = _supremum(VALUE, f, g, op, nb, grid)
+    w = _weights(VALUE, f, g, op)
+    con_lhs = max_modulus_on_circle(phase_difference(VALUE, f, op, nb, w, diffs), grid)[0]
     con_holds = con_lhs < con_thr
     falsification = hypothesis.holds and not con_holds
     notes: tuple[str, ...] = (_FALSIFICATION_NOTE,) if falsification else ()

@@ -420,43 +420,39 @@ def salagean_iterate(s: TruncatedSeries, order: int, p: int, m: int) -> Truncate
     return TruncatedSeries(s.lead_exp, s.lead_coeff * (base**order / den), scaled)
 
 
-def _dense_image(
-    f: MultivalentFunction, params: OperatorParams, order: int, shift: int = 0
-) -> np.ndarray:
-    """Dense coefficients, index = exponent, of z^shift times the order-th
-    derivative of the blended image of f divided by z^{p-m-order}.
+def _weighted_products(w: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """w_k (re_k + i im_k) formed as CPython forms float * complex, (w re - 0.0 im,
+    w im + 0.0 re), from separate real operations: the bits, signed zeros included,
+    of w_k * complex(re_k, im_k).  A product past the float range is left non-finite."""
+    out = np.empty(len(w), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.real = w * re - 0.0 * im
+        out.imag = w * im + 0.0 * re
+    return out
 
-    The lead p!/(p-m-order)! sits at index `shift` and w_k a_{k+p} at
-    k + shift.  Each product is formed as CPython forms float * complex, the
-    float taken as w + 0j: (w re - 0.0 im, w im + 0.0 re), from separate real
-    multiplies and additions, so the bits (signed zeros included) are those
-    of the Python expression w * a_{k+p}.  A product past the float range is
-    a DomainError naming its exponent.
-    """
-    params.require_valence(f.p)
-    ks = f.support()
-    out = np.zeros((ks[-1] if ks else 0) + shift + 1, dtype=np.complex128)
-    out[shift] = float(falling_factorial(f.p, params.m + order))
-    w = _weight_pass(ks, f.p, params, derivative=bool(order))
-    c = np.array(f.coeffs, dtype=np.complex128)
-    tail = out[f.n + shift :]
-    with np.errstate(over="ignore"):
-        tail.real = w * c.real - 0.0 * c.imag
-        tail.imag = w * c.imag + 0.0 * c.real
+
+def _image_tail(w: np.ndarray, c: np.ndarray, start: int) -> np.ndarray:
+    """The image products w_k c_k of complex coefficients c (`w` as long or longer),
+    the first at exponent `start`; one past the float range is a DomainError."""
+    tail = _weighted_products(w[: c.size], c.real, c.imag)
     bad = np.flatnonzero(~np.isfinite(tail))
     if bad.size:
-        raise DomainError(f"tail coefficient at exponent {f.n + shift + bad[0]} is not finite")
-    return out
+        raise DomainError(f"tail coefficient at exponent {start + bad[0]} is not finite")
+    return tail
 
 
 def _image_series(
     f: MultivalentFunction, params: OperatorParams, order: int, shift: int
 ) -> TruncatedSeries:
-    """`_dense_image` as a series with leading exponent `shift`, built unvalidated."""
-    dense = _dense_image(f, params, order, shift)
+    """z^shift times the order-th derivative of f's blended image over
+    z^{p-m-order}, built unvalidated: p!/(p-m-order)! at exponent `shift`."""
+    params.require_valence(f.p)
+    w = _weight_pass(f.support(), f.p, params, derivative=bool(order))
     start = f.n + shift
-    tail = tuple(zip(range(start, dense.size), dense[start:].tolist()))
-    return TruncatedSeries._trusted(shift, complex(dense[shift]), tail)
+    c = np.array(f.coeffs, dtype=np.complex128)
+    tail = tuple(enumerate(_image_tail(w, c, start).tolist(), start))
+    lead = complex(float(falling_factorial(f.p, params.m + order)))
+    return TruncatedSeries._trusted(shift, lead, tail)
 
 
 def salagean_blend(f: MultivalentFunction, params: OperatorParams) -> TruncatedSeries:

@@ -57,6 +57,20 @@ def test_rejects_small_grid():
         sup_oracle(np.array([1.0]), 0)
 
 
+@pytest.mark.parametrize(
+    ("coeffs", "index"),
+    [
+        ([math.inf], 0),
+        ([1.0, math.inf], 1),
+        ([math.nan, 1.0], 0),
+        ([1.0, complex(0.0, -math.inf)], 1),
+    ],
+)
+def test_rejects_non_finite_coefficient(coeffs, index):
+    with pytest.raises(DomainError, match=rf"coefficient of z\^{index} is not finite"):
+        max_modulus_on_circle(coeffs)
+
+
 def test_production_vs_oracle_random():
     rng = np.random.default_rng(123)
     for _ in range(60):

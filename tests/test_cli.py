@@ -540,9 +540,10 @@ def test_golden_construct_stdout(tmp_path):
 # k300_partner.json (aligned along phi = 0.1, 2.5e307 at k = 3, signed zeros
 # and subnormals) and k300_operator_f.json against k300_operator_g.json
 # (p = 3, m = 1, Omega = 2, lambda = 0.7, aligned along phi = 0.7).  The
-# supremum criteria's bits depend on numpy's complex multiply in
-# phase_difference; these were recorded, and agree, under its X86_V3 and
-# X86_V4 dispatch.
+# supremum rows come from a difference polynomial built from separate real
+# operations, so their bytes do not depend on numpy's CPU dispatch; CI also
+# runs this test with X86_V3 and newer dispatch disabled and with one BLAS
+# thread.
 
 
 def test_golden_k300_check_reports(cli, tmp_path, monkeypatch, capsys):
@@ -573,6 +574,16 @@ def test_image_overflow_is_one_domain_error_line(tmp_path):
         result = run_cli(*args)
         assert result.returncode == 3, (args, result.stderr)
         assert result.stderr == "error: tail coefficient at exponent 2001 is not finite\n", args
+
+
+def test_difference_overflow_is_one_domain_error_line(tmp_path):
+    # both images are finite, but 1.5e308 - (-1.5e308) is not: the supremum
+    # gets an infinite coefficient and rejects it (exit 3), never crashes (exit 4)
+    f = write_json(tmp_path / "f.json", {"p": 1, "n": 1, "coefficients": [[1.5e308, 0.0]]})
+    g = write_json(tmp_path / "g.json", {"p": 1, "n": 1, "coefficients": [[-1.5e308, 0.0]]})
+    result = run_cli("check", f, g, "--criterion", "member-m", "--delta", "5")
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == "error: coefficient of z^1 is not finite\n"
 
 
 @pytest.mark.parametrize(

@@ -38,12 +38,13 @@ from pvalent import (
     threshold_n,
     transfer_check,
 )
+from pvalent import series
 from pvalent.criteria import (
     DERIVATIVE,
     MAX_TRUNC,
     VALUE,
+    _differences,
     _indices,
-    _twisted_differences,
     _weighted_sum,
 )
 
@@ -192,6 +193,38 @@ def test_value_side_delta_between_bounds_is_flagged():
             check(between)
         v = check(clear)
         assert v.holds and v.notes == (), name
+
+
+def test_each_check_forms_one_weight_vector_per_family(monkeypatch):
+    calls = []
+    weight_pass = series._weight_pass
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["derivative"])
+        return weight_pass(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_weight_pass", counted)
+    # 0.01 at k = 1, 0.02 at k = 3: aligned along phi = 0 at alpha = 0
+    f = MultivalentFunction(2, 1, (0.01, 0.0, 0.02))
+    g = MultivalentFunction(2, 1)
+    op, align = OperatorParams(lam=0.4, m=1, omega=2), ArgAlignment(phi=0.0)
+    nb = NeighborhoodParams(0.0, math.pi / 2, 40.0)
+    checks = {
+        "sufficient_n": (lambda: sufficient_n(f, g, op, nb), 1),
+        "sufficient_m": (lambda: sufficient_m(f, g, op, nb), 1),
+        "sufficient_n_modulus": (lambda: sufficient_n_modulus(f, g, op, nb, align), 1),
+        "sufficient_m_modulus": (lambda: sufficient_m_modulus(f, g, op, nb, align), 1),
+        "membership_n": (lambda: membership_n(f, g, op, nb), 1),
+        "membership_m": (lambda: membership_m(f, g, op, nb), 1),
+        "necessary_n": (lambda: necessary_n(f, g, op, nb, align), 1),
+        "necessary_m": (lambda: necessary_m(f, g, op, nb, align), 1),
+        "transfer_check": (lambda: transfer_check(f, g, op, nb), 2),
+    }
+    for name, (check, expected) in checks.items():
+        calls.clear()
+        check()
+        assert len(calls) == expected, name
+    assert sorted(calls) == [False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +665,7 @@ def _bits(values):
 def test_twisted_sums_bitwise_match_python_complex_arithmetic():
     for f, g, op in _sum_cases():
         for alpha, beta in ((0.3, 1.1), (0.0, math.pi), (-2.5, 0.25)):
-            re, im = _twisted_differences(f, g, alpha, beta)
+            _, _, re, im = _differences(f, g, NeighborhoodParams(alpha, beta, 1.0))
             oracle = _python_twisted(f, g, alpha, beta)
             assert _bits(complex(x, y) for x, y in zip(re.tolist(), im.tolist())) == _bits(oracle)
             for family in (DERIVATIVE, VALUE):

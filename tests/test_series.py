@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from pvalent import (
     DomainError,
     MultivalentFunction,
+    NeighborhoodParams,
     OperatorParams,
     TruncatedSeries,
     blend_derivative_normalized,
@@ -36,7 +37,7 @@ from pvalent import (
     salagean_iterate,
     wrap_angle,
 )
-from pvalent.criteria import DERIVATIVE, VALUE
+from pvalent.criteria import DERIVATIVE, VALUE, _differences, _weights, phase_difference
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -574,19 +575,14 @@ def _image_cases():
 
 
 def test_image_builders_bitwise_match_python_products():
-    """Dense images and the series built from them carry the bits, signed
-    zeros and subnormals included, of the Python products they replaced."""
+    """Image series carry the bits, signed zeros and subnormals included, of
+    the Python products they replaced."""
     saw_signed_zero = saw_subnormal = False
     for f, op in _image_cases():
-        for family, series in ((VALUE, blend_normalized), (DERIVATIVE, blend_derivative_normalized)):
-            tail = _python_tail(f, op, family.order, 0)
-            dense = [0j] * (f.truncation_order + 1 if f.coeffs else 1)
-            dense[0] = complex(falling_factorial(f.p, op.m + family.order))
-            for e, c in tail:
-                dense[e] = c
-            assert _complex_bits(family.image(f, op).tolist()) == _complex_bits(dense)
+        for order, series in ((0, blend_normalized), (1, blend_derivative_normalized)):
+            tail = _python_tail(f, op, order, 0)
             s = series(f, op)
-            assert s.lead_exp == 0 and s.lead_coeff == dense[0]
+            assert s.lead_exp == 0 and s.lead_coeff == falling_factorial(f.p, op.m + order)
             assert [e for e, _ in s.tail] == [e for e, _ in tail]
             assert _complex_bits(c for _, c in s.tail) == _complex_bits(c for _, c in tail)
             assert type(s.lead_coeff) is complex and all(type(c) is complex for _, c in s.tail)
@@ -598,6 +594,52 @@ def test_image_builders_bitwise_match_python_products():
         tail = _python_tail(f, op, 0, shift)
         assert whole.lead_exp == shift and [e for e, _ in whole.tail] == [e for e, _ in tail]
         assert _complex_bits(c for _, c in whole.tail) == _complex_bits(c for _, c in tail)
+    assert saw_signed_zero and saw_subnormal
+
+
+def _python_difference(family, f, g, op, alpha, beta):
+    """The difference polynomial as Python expressions: lead * (ua - ub) at
+    index 0 and w_k * d_k at index k, d_k = ua * a_{k+p} - ub * b_{k+p}."""
+    ua = cmath.exp(1j * alpha)
+    ub = cmath.exp(1j * beta)
+    lead = falling_factorial(f.p, op.m + family.order)
+    ks = range(f.n, max(f.truncation_order, g.truncation_order) + 1)
+    tail = [
+        (_per_k_weight(k, f.p, op) * (k + f.p - op.m) ** family.order)
+        * (ua * f.coefficient(k) - ub * g.coefficient(k))
+        for k in ks
+    ]
+    return [lead * (ua - ub)] + [0j] * (f.n - 1) + tail
+
+
+def _difference_cases():
+    docs = [json.loads((GOLDEN / f"k300_operator_{x}.json").read_text()) for x in "fg"]
+    f, g = (
+        MultivalentFunction(doc["p"], doc["n"], tuple(complex(*c) for c in doc["coefficients"]))
+        for doc in docs
+    )
+    yield f, g, OperatorParams(lam=docs[0]["lambda"], m=docs[0]["m"], omega=docs[0]["Omega"])
+    for f, op in _image_cases():
+        yield f, MultivalentFunction(f.p, f.n), op
+        yield f, MultivalentFunction(f.p, f.n, f.coeffs[1::2]), op
+
+
+def test_difference_polynomial_bitwise_matches_python_expressions():
+    """The supremum polynomial carries the bits of lead * (ua - ub) and
+    w_k * d_k, signed zeros and subnormals included, under any numpy dispatch."""
+    saw_signed_zero = saw_subnormal = False
+    for f, g, op in _difference_cases():
+        for alpha, beta in ((0.3, 1.1), (0.0, math.pi), (-2.5, 0.25)):
+            nb = NeighborhoodParams(alpha, beta, 1.0)
+            for family in (DERIVATIVE, VALUE):
+                w, diffs = _weights(family, f, g, op), _differences(f, g, nb)
+                got = phase_difference(family, f, op, nb, w, diffs).tolist()
+                assert _complex_bits(got) == _complex_bits(
+                    _python_difference(family, f, g, op, alpha, beta)
+                )
+                parts = [x for c in got for x in (c.real, c.imag)]
+                saw_signed_zero |= any(x == 0.0 and math.copysign(1.0, x) < 0 for x in parts)
+                saw_subnormal |= any(0.0 < abs(x) < 2.2250738585072014e-308 for x in parts)
     assert saw_signed_zero and saw_subnormal
 
 
