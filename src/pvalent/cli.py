@@ -312,10 +312,8 @@ def cmd_check(args) -> int:
     else:
         # member-n / member-m: also surface the sum criterion, whose holding
         # guarantees membership; disagreement in that direction is a falsification
-        member = criteria.membership_n if args.criterion == "member-n" else criteria.membership_m
-        suff = criteria.sufficient_n if args.criterion == "member-n" else criteria.sufficient_m
-        verdict = member(f, g, op, nb, args.grid)
-        companion = suff(f, g, op, nb)
+        family = criteria.DERIVATIVE if args.criterion == "member-n" else criteria.VALUE
+        verdict, companion = criteria.membership_with_sum(family, f, g, op, nb, args.grid)
         _print_verdict("", verdict)
         print("sufficient-side companion")
         _print_verdict("  ", companion)

@@ -322,8 +322,12 @@ def _sufficient(
         _, _, re, im = _differences(f, g, nb)
     else:
         re, im = _aligned_modulus_differences(f, g, nb, align), 0.0
-    lhs = _weighted_sum(_weights(family, f, g, op), re, im)
-    thr = nb.delta - bound
+    return _sum_verdict(_weights(family, f, g, op), re, im, nb.delta - bound, notes)
+
+
+def _sum_verdict(w, re, im, thr: float, notes: tuple[str, ...]) -> Verdict:
+    """The weighted sum of |re + i im| against `thr` (inclusive)."""
+    lhs = _weighted_sum(w, re, im)
     return Verdict(lhs <= thr, lhs, thr, notes=notes)
 
 
@@ -409,20 +413,25 @@ def phase_difference(
     return out
 
 
-def _membership(
+def membership_with_sum(
     family: Family,
     f: MultivalentFunction,
     g: MultivalentFunction,
     op: OperatorParams,
     nb: NeighborhoodParams,
-    grid: int,
-) -> Verdict:
-    """The family's boundary supremum against delta (strict)."""
-    _admitted_bound(family, f, g, op, nb)
+    grid: int = DEFAULT_GRID,
+) -> tuple[Verdict, Verdict]:
+    """The family's boundary supremum against delta (strict), and its sufficient
+    sum criterion from the same weights and differences: one weight pass for
+    the pair that `sufficient_*` and `membership_*` return apart, with the
+    same bytes and the same errors in the same order.  Not exported."""
+    bound = _admitted_bound(family, f, g, op, nb)
     notes = family.notes(nb, f.p, op.m)
-    poly = phase_difference(family, f, op, nb, _weights(family, f, g, op), _differences(f, g, nb))
-    lhs = max_modulus_on_circle(poly, grid)[0]
-    return Verdict(lhs < nb.delta, lhs, nb.delta, notes=notes)
+    w = _weights(family, f, g, op)
+    _, _, re, im = diffs = _differences(f, g, nb)
+    lhs = max_modulus_on_circle(phase_difference(family, f, op, nb, w, diffs), grid)[0]
+    member = Verdict(lhs < nb.delta, lhs, nb.delta, notes=notes)
+    return member, _sum_verdict(w, re, im, nb.delta - bound, notes)
 
 
 def membership_n(
@@ -439,7 +448,7 @@ def membership_n(
     truncated data this equals the supremum over the open disk.  Holds iff
     lhs < delta (strict).
     """
-    return _membership(DERIVATIVE, f, g, op, nb, grid)
+    return membership_with_sum(DERIVATIVE, f, g, op, nb, grid)[0]
 
 
 def membership_m(
@@ -450,12 +459,40 @@ def membership_m(
     grid: int = DEFAULT_GRID,
 ) -> Verdict:
     """Definitional value-side membership test, dividing the images by z^{p-m}."""
-    return _membership(VALUE, f, g, op, nb, grid)
+    return membership_with_sum(VALUE, f, g, op, nb, grid)[0]
 
 
 # ---------------------------------------------------------------------------
 # necessity bounds under argument alignment
 # ---------------------------------------------------------------------------
+
+
+#: Relative slack of the array scan in `_require_aligned`.  numpy's arctan2
+#: may differ from cmath.phase by a few ulps, and each rounding of the gap
+#: is up to one ulp of |k phi| + 2 pi, so the array gap stays within
+#: _ALIGN_SLACK (4 + |k phi|) of the scalar one.
+_ALIGN_SLACK = 1e-14
+
+
+def _require_aligned(ks: range, re: np.ndarray, im: np.ndarray, align: ArgAlignment) -> None:
+    """Raise at the first k whose nonzero d_k = re + i im has
+    |wrap(arg d_k - k phi)| > tolerance.  Arrays pick the candidates, against
+    the tolerance less a slack; each candidate, in index order, is then
+    judged by the scalar cmath.phase/wrap_angle expression alone, so the
+    index and the message are those of a loop over every k."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        kphi = np.arange(ks.start, ks.stop, dtype=np.float64) * align.phi
+        w = np.fmod(np.arctan2(im, re) - kphi + math.pi, 2.0 * math.pi)
+        gap = np.where(w < 0.0, w + 2.0 * math.pi, w) - math.pi
+        within = np.abs(gap) <= align.tolerance - _ALIGN_SLACK * (4.0 + np.abs(kphi))
+    for i in np.flatnonzero(~within & ((re != 0.0) | (im != 0.0))).tolist():
+        k = ks.start + i
+        gap = wrap_angle(cmath.phase(complex(re[i], im[i])) - k * align.phi)
+        if abs(gap) > align.tolerance:
+            raise HypothesisViolationError(
+                f"twisted-difference alignment arg(d_k)=k*phi fails at index k={k}: "
+                f"off by {gap!r} rad (tolerance {align.tolerance!r})"
+            )
 
 
 def _necessary(
@@ -480,16 +517,7 @@ def _necessary(
             f"got alpha={nb.alpha!r}, beta={nb.beta!r}"
         )
     _, _, re, im = diffs = _differences(f, g, nb)
-    for k, x, y in zip(_indices(f, g), re.tolist(), im.tolist()):
-        d = complex(x, y)
-        if d == 0:
-            continue
-        gap = wrap_angle(cmath.phase(d) - k * align.phi)
-        if abs(gap) > align.tolerance:
-            raise HypothesisViolationError(
-                f"twisted-difference alignment arg(d_k)=k*phi fails at index k={k}: "
-                f"off by {gap!r} rad (tolerance {align.tolerance!r})"
-            )
+    _require_aligned(_indices(f, g), re, im, align)
     _admitted_bound(family, f, g, op, nb)
     notes = family.notes(nb, f.p, op.m)
     w = _weights(family, f, g, op)

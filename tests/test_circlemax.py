@@ -95,6 +95,53 @@ def test_oracle_folding_matches_direct_evaluation():
     assert abs(sup_oracle(c, grid) - direct) < 1e-9
 
 
+def _full_fft_oracle(coeffs, grid: int) -> float:
+    """Reference: the folded coefficients zero-padded to `grid`, one long FFT."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    folded = np.zeros(grid, dtype=np.complex128)
+    np.add.at(folded, np.arange(c.size) % grid, c)
+    return float(np.abs(np.fft.fft(folded)).max())
+
+
+ORACLE_GRIDS = (1 << 18, 1 << 20, 4096, 1000, 997, 16, 1)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 5, 64, 65, 300, 3000])
+def test_oracle_matches_single_fft_reference(degree):
+    # 16 and 1 fold every degree above them; 997 is prime, so its one row is
+    # the whole grid; 1000 has rows of 100, 500 and 1000 samples
+    rng = np.random.default_rng(degree)
+    for grid in ORACLE_GRIDS:
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        scale = float(np.abs(c).sum())
+        assert abs(sup_oracle(c, grid) - _full_fft_oracle(c, grid)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("degree", [5, 64, 65, 300, 3000])
+def test_oracle_reaches_every_sample(degree):
+    # c_k = w^{-jk}, w = e^{-2 pi i/grid}, sums to d+1 at sample j alone; its
+    # neighbours read below d+1 by more than 1e-10 relative, so a sample that a
+    # mis-indexed row or column skips or misplaces shows.  Sample L b + a is
+    # entry b of row a, with L = grid / (row length) rows.
+    grid = 1 << 18
+    rows = grid // max(64, 1 << degree.bit_length())
+    k = np.arange(degree + 1)
+    for j in (0, 1, rows - 1, rows, 123457, grid - 1):
+        c = np.exp((2j * math.pi / grid) * ((j * k) % grid))
+        assert sup_oracle(c, grid) == pytest.approx(degree + 1, rel=1e-13, abs=0.0)
+
+
+def test_oracle_empty_input_and_grid_below_one():
+    for grid in (1, 16, 1 << 18):
+        assert sup_oracle(np.array([], dtype=complex), grid) == 0.0
+        assert sup_oracle([], grid) == 0.0
+    for grid in (0, -3):
+        with pytest.raises(DomainError, match=rf"grid must be >= 1, got {grid}"):
+            sup_oracle(np.array([1.0]), grid)
+        with pytest.raises(DomainError):
+            sup_oracle([], grid)
+
+
 def _random_poly(seed: int, degree: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)

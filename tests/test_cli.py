@@ -561,6 +561,31 @@ def test_golden_k300_check_reports(cli, tmp_path, monkeypatch, capsys):
         assert (out.read_text() if out.exists() else None) == case["report"], case["argv"]
 
 
+def test_member_checks_form_one_weight_vector(cli, monkeypatch, capsys):
+    # the membership verdict and its sufficient-side companion share one
+    # weight pass and one set of twisted differences; their bytes are pinned
+    # by the k300 golden reports above
+    from pvalent import series
+
+    calls = []
+    weight_pass = series._weight_pass
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["derivative"])
+        return weight_pass(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_weight_pass", counted)
+    monkeypatch.chdir(GOLDEN)
+    cases = json.loads((GOLDEN / "k300_checks.json").read_text())
+    members = [case for case in cases if case["argv"][4].startswith("member-")]
+    assert len(members) == 4
+    for case in members:
+        calls.clear()
+        assert cli.main(case["argv"]) == case["exit"]
+        assert capsys.readouterr().out == case["stdout"]
+        assert calls == [case["argv"][4] == "member-n"], case["argv"]
+
+
 def test_image_overflow_is_one_domain_error_line(tmp_path):
     # p = 3, m = 2, Omega = 2, lambda = 1: every weight up to K = 2001 is a
     # finite float, and the value-side weight at k = 2001 (about 3.2e16)

@@ -46,6 +46,7 @@ from pvalent.criteria import (
     _differences,
     _indices,
     _weighted_sum,
+    membership_with_sum,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -195,6 +196,19 @@ def test_value_side_delta_between_bounds_is_flagged():
         assert v.holds and v.notes == (), name
 
 
+def test_membership_with_sum_is_the_separate_pair_bit_for_bit():
+    for seed in range(12):
+        spec = InstanceSpec(p=2 + seed % 3, n=1 + seed % 2, m=seed % 2, omega=seed % 3,
+                            lam=0.25 * (seed % 5), trunc=8 + 5 * seed, seed=seed)
+        f, g, nb = generate_pair(spec, "unconstrained")
+        op = spec.operator
+        for family, member, suff in ((DERIVATIVE, membership_n, sufficient_n),
+                                     (VALUE, membership_m, sufficient_m)):
+            pair = membership_with_sum(family, f, g, op, nb, 1024)
+            separate = (member(f, g, op, nb, 1024), suff(f, g, op, nb))
+            assert repr(pair) == repr(separate), (seed, family.label)
+
+
 def test_each_check_forms_one_weight_vector_per_family(monkeypatch):
     calls = []
     weight_pass = series._weight_pass
@@ -216,6 +230,7 @@ def test_each_check_forms_one_weight_vector_per_family(monkeypatch):
         "sufficient_m_modulus": (lambda: sufficient_m_modulus(f, g, op, nb, align), 1),
         "membership_n": (lambda: membership_n(f, g, op, nb), 1),
         "membership_m": (lambda: membership_m(f, g, op, nb), 1),
+        "membership_with_sum": (lambda: membership_with_sum(VALUE, f, g, op, nb), 1),
         "necessary_n": (lambda: necessary_n(f, g, op, nb, align), 1),
         "necessary_m": (lambda: necessary_m(f, g, op, nb, align), 1),
         "transfer_check": (lambda: transfer_check(f, g, op, nb), 2),
@@ -364,6 +379,108 @@ def test_necessary_rejects_misalignment():
     with pytest.raises(HypothesisViolationError) as err:
         necessary_n(f, g, plain_op(), nb, ArgAlignment(phi=2.0))
     assert "k=1" in str(err.value)
+
+
+def _alignment_failure_loop(f, g, nb, align):
+    """Reference: the scalar alignment scan over every k, as its message or None."""
+    _, _, re, im = _differences(f, g, nb)
+    for k, x, y in zip(_indices(f, g), re.tolist(), im.tolist()):
+        d = complex(x, y)
+        if d == 0:
+            continue
+        gap = series.wrap_angle(cmath.phase(d) - k * align.phi)
+        if abs(gap) > align.tolerance:
+            return (
+                f"twisted-difference alignment arg(d_k)=k*phi fails at index k={k}: "
+                f"off by {gap!r} rad (tolerance {align.tolerance!r})"
+            )
+    return None
+
+
+def _alignment_failure(check, f, g, nb, align):
+    try:
+        check(f, g, plain_op(), nb, align)
+    except HypothesisViolationError as err:
+        if "alignment" in str(err):
+            return str(err)
+        raise
+    return None
+
+
+def _aligned_function(phi: float, size: int, twists: dict[int, float]) -> MultivalentFunction:
+    # a_k = 1e-9 e^{i (k phi + twist_k)}, k = 1..size, and a_k = 0 where k is a
+    # multiple of 97 (a zero difference is vacuously aligned): with g = 0 and
+    # alpha = 0 the twisted differences are the a_k themselves, and membership holds
+    coeffs = [
+        0.0 if k % 97 == 0 else 1e-9 * cmath.exp(1j * (k * phi + twists.get(k, 0.0)))
+        for k in range(1, size + 1)
+    ]
+    return MultivalentFunction(1, 1, tuple(coeffs))
+
+
+@pytest.mark.parametrize("check", [necessary_n, necessary_m])
+def test_alignment_scan_reports_the_first_late_misaligned_index(check):
+    g = MultivalentFunction(1, 1)
+    nb = NeighborhoodParams(0.0, 1.0, 9.0)
+    align = ArgAlignment(phi=0.7)
+    for twists, k in (
+        ({2000: 2e-8, 2041: -3e-8}, 2000),
+        ({2041: -3e-8}, 2041),
+        ({2048: 1e-7}, 2048),
+        ({}, None),
+    ):
+        f = _aligned_function(align.phi, 2048, twists)
+        message = _alignment_failure(check, f, g, nb, align)
+        assert message == _alignment_failure_loop(f, g, nb, align)
+        assert (message is None) == (k is None)
+        if k is not None:
+            assert f"index k={k}:" in message
+
+
+@pytest.mark.parametrize("check", [necessary_n, necessary_m])
+def test_alignment_scan_matches_the_loop_within_ulps_of_the_tolerance(check):
+    g = MultivalentFunction(1, 1)
+    nb = NeighborhoodParams(0.0, 1.0, 9.0)
+    for phi, k in ((0.7, 300), (-2.3, 1), (1e4, 257), (3.0, 512)):
+        f = _aligned_function(phi, 512, {k: 3e-8})
+        _, _, re, im = _differences(f, g, nb)
+        gap = abs(series.wrap_angle(cmath.phase(complex(re[k - 1], im[k - 1])) - k * phi))
+        tolerances = [gap]
+        for _ in range(3):
+            tolerances = [math.nextafter(tolerances[0], 0.0), *tolerances]
+            tolerances.append(math.nextafter(tolerances[-1], 1.0))
+        outcomes = []
+        for tol in tolerances:
+            align = ArgAlignment(phi=phi, tolerance=tol)
+            message = _alignment_failure(check, f, g, nb, align)
+            assert message == _alignment_failure_loop(f, g, nb, align), (phi, tol)
+            outcomes.append(message is None)
+        # fails below the gap, holds from the gap on
+        assert outcomes == [False] * 3 + [True] * 4, phi
+
+
+def test_alignment_scan_matches_the_loop_on_seeded_pairs():
+    rng = np.random.default_rng(11)
+    nb = NeighborhoodParams(0.2, 1.4, 9.0)
+    for _ in range(40):
+        size = int(rng.integers(1, 200))
+        phi = float(rng.choice([rng.uniform(-4, 4), rng.uniform(-1e6, 1e6)]))
+        b = 1e-9 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        twist = rng.choice([0.0, 1e-9, 1e-8, 2e-8], size) * rng.choice([-1.0, 1.0], size)
+        k = np.arange(1, size + 1)
+        # d_k = e^{i alpha} a_k - e^{i beta} b_k = 1e-9 e^{i (k phi + twist_k)}
+        d = 1e-9 * np.exp(1j * (k * phi + twist))
+        a = (d + np.exp(1j * nb.beta) * b) * np.exp(-1j * nb.alpha)
+        b[rng.random(size) < 0.2] = 0.0
+        both = rng.random(size) < 0.1  # d_k = 0 exactly
+        a[both] = b[both] = 0.0
+        f = MultivalentFunction(1, 1, tuple(a.tolist()))
+        g = MultivalentFunction(1, 1, tuple(b.tolist()))
+        align = ArgAlignment(phi=phi, tolerance=float(rng.choice([1e-8, 1.5e-8, 0.0])))
+        for check in (necessary_n, necessary_m):
+            assert _alignment_failure(check, f, g, nb, align) == _alignment_failure_loop(
+                f, g, nb, align
+            )
 
 
 def test_necessary_rejects_failed_membership():
