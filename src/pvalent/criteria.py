@@ -149,8 +149,8 @@ class Family:
             raise DomainError(f"valence p={p} must exceed derivative order m={m}")
         return falling_factorial(p, m + self.order) * phase_gap_radical(alpha, beta)
 
-    def weights(self, ks: range, p: int, op: OperatorParams) -> list[float]:
-        """Coefficient weights (k+p-m)^order W(k) for every k in `ks`."""
+    def weights(self, ks: range, p: int, op: OperatorParams) -> np.ndarray:
+        """Coefficient weights (k+p-m)^order W(k) for every k in `ks`, as a float64 array."""
         return (blend_derivative_weight if self.order else blend_weight)(ks, p, op)
 
     def notes(self, nb: NeighborhoodParams, p: int, m: int) -> tuple[str, ...]:
@@ -268,7 +268,7 @@ def _weights(
     family: Family, f: MultivalentFunction, g: MultivalentFunction, op: OperatorParams
 ) -> np.ndarray:
     """The family's weights w_k over `_indices(f, g)`, from one weight pass."""
-    return np.array(family.weights(_indices(f, g), f.p, op), dtype=np.float64)
+    return family.weights(_indices(f, g), f.p, op)
 
 
 def _weighted_sum(weights, re, im=0.0) -> float:
@@ -281,32 +281,6 @@ def _weighted_sum(weights, re, im=0.0) -> float:
         return math.inf
 
 
-def _aligned_modulus_differences(
-    f: MultivalentFunction,
-    g: MultivalentFunction,
-    nb: NeighborhoodParams,
-    align: ArgAlignment,
-) -> list[float]:
-    """|a_{k+p}| - |b_{k+p}| for each k in `_indices(f, g)`.
-
-    Requires arg(a_{k+p}) - arg(b_{k+p}) = beta - alpha wherever both are nonzero.
-    """
-    expected = nb.beta - nb.alpha
-    out = []
-    for k in _indices(f, g):
-        a = f.coefficient(k)
-        b = g.coefficient(k)
-        if a != 0 and b != 0:
-            gap = wrap_angle(cmath.phase(a) - cmath.phase(b) - expected)
-            if abs(gap) > align.tolerance:
-                raise HypothesisViolationError(
-                    f"argument alignment arg(a)-arg(b)=beta-alpha fails at index k={k}: "
-                    f"off by {gap!r} rad (tolerance {align.tolerance!r})"
-                )
-        out.append(abs(a) - abs(b))
-    return out
-
-
 def _sufficient(
     family: Family,
     f: MultivalentFunction,
@@ -315,13 +289,23 @@ def _sufficient(
     nb: NeighborhoodParams,
     align: ArgAlignment | None = None,
 ) -> Verdict:
-    """The family's weighted sum against delta minus its bound; modulus form given `align`."""
+    """The family's weighted sum against delta minus its bound; given `align`, the
+    modulus form sum_k w_k ||a_{k+p}| - |b_{k+p}||, which requires
+    arg a_{k+p} - arg b_{k+p} = beta - alpha wherever both are nonzero.  A modulus
+    past the float range reads inf (a difference of two such, nan): the sum fails."""
     bound = _admitted_bound(family, f, g, op, nb)
     notes = family.notes(nb, f.p, op.m)
-    if align is None:
-        _, _, re, im = _differences(f, g, nb)
-    else:
-        re, im = _aligned_modulus_differences(f, g, nb, align), 0.0
+    a, b, re, im = _differences(f, g, nb)
+    if align is not None:
+        expected = nb.beta - nb.alpha
+        _require_aligned(
+            "argument alignment arg(a)-arg(b)=beta-alpha", _indices(f, g), align.tolerance,
+            np.arctan2(a.imag, a.real) - np.arctan2(b.imag, b.real), expected,
+            (a != 0) & (b != 0),
+            lambda i: wrap_angle(cmath.phase(a[i]) - cmath.phase(b[i]) - expected),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im = np.hypot(a.real, a.imag) - np.hypot(b.real, b.imag), 0.0
     return _sum_verdict(_weights(family, f, g, op), re, im, nb.delta - bound, notes)
 
 
@@ -468,30 +452,28 @@ def membership_m(
 
 
 #: Relative slack of the array scan in `_require_aligned`.  numpy's arctan2
-#: may differ from cmath.phase by a few ulps, and each rounding of the gap
-#: is up to one ulp of |k phi| + 2 pi, so the array gap stays within
-#: _ALIGN_SLACK (4 + |k phi|) of the scalar one.
+#: may differ from cmath.phase by a few ulps (in each of two phases), and
+#: each rounding of the gap is up to one ulp of |target| + 2 pi, so the
+#: array gap stays within _ALIGN_SLACK (4 + |target|) of the scalar one.
 _ALIGN_SLACK = 1e-14
 
 
-def _require_aligned(ks: range, re: np.ndarray, im: np.ndarray, align: ArgAlignment) -> None:
-    """Raise at the first k whose nonzero d_k = re + i im has
-    |wrap(arg d_k - k phi)| > tolerance.  Arrays pick the candidates, against
-    the tolerance less a slack; each candidate, in index order, is then
-    judged by the scalar cmath.phase/wrap_angle expression alone, so the
-    index and the message are those of a loop over every k."""
+def _require_aligned(hypothesis: str, ks: range, tolerance: float, angle, target, mask, gap_at):
+    """Raise the `hypothesis` failure at the first k = ks[i] with mask[i] and
+    |gap_at(i)| > tolerance, gap_at(i) being the scalar cmath.phase/wrap_angle
+    expression for wrap(angle[i] - target).  Arrays pick the candidates, the
+    gaps not within the tolerance less a slack; the candidates are judged in
+    index order, so the index and the message are those of a loop over every k."""
     with np.errstate(invalid="ignore", over="ignore"):
-        kphi = np.arange(ks.start, ks.stop, dtype=np.float64) * align.phi
-        w = np.fmod(np.arctan2(im, re) - kphi + math.pi, 2.0 * math.pi)
+        w = np.fmod(angle - target + math.pi, 2.0 * math.pi)
         gap = np.where(w < 0.0, w + 2.0 * math.pi, w) - math.pi
-        within = np.abs(gap) <= align.tolerance - _ALIGN_SLACK * (4.0 + np.abs(kphi))
-    for i in np.flatnonzero(~within & ((re != 0.0) | (im != 0.0))).tolist():
-        k = ks.start + i
-        gap = wrap_angle(cmath.phase(complex(re[i], im[i])) - k * align.phi)
-        if abs(gap) > align.tolerance:
+        within = np.abs(gap) <= tolerance - _ALIGN_SLACK * (4.0 + np.abs(target))
+    for i in np.flatnonzero(mask & ~within).tolist():
+        gap = gap_at(i)
+        if abs(gap) > tolerance:
             raise HypothesisViolationError(
-                f"twisted-difference alignment arg(d_k)=k*phi fails at index k={k}: "
-                f"off by {gap!r} rad (tolerance {align.tolerance!r})"
+                f"{hypothesis} fails at index k={ks[i]}: "
+                f"off by {gap!r} rad (tolerance {tolerance!r})"
             )
 
 
@@ -517,7 +499,14 @@ def _necessary(
             f"got alpha={nb.alpha!r}, beta={nb.beta!r}"
         )
     _, _, re, im = diffs = _differences(f, g, nb)
-    _require_aligned(_indices(f, g), re, im, align)
+    ks = _indices(f, g)
+    with np.errstate(over="ignore"):
+        kphi = np.arange(ks.start, ks.stop, dtype=np.float64) * align.phi
+    _require_aligned(
+        "twisted-difference alignment arg(d_k)=k*phi", ks, align.tolerance,
+        np.arctan2(im, re), kphi, (re != 0.0) | (im != 0.0),
+        lambda i: wrap_angle(cmath.phase(complex(re[i], im[i])) - ks[i] * align.phi),
+    )
     _admitted_bound(family, f, g, op, nb)
     notes = family.notes(nb, f.p, op.m)
     w = _weights(family, f, g, op)

@@ -121,7 +121,7 @@ def _draw(spec: InstanceSpec, low: float):
 def _rescaled(spec: InstanceSpec, family: criteria.Family, d, total: float):
     """d scaled so that the family's weighted sum of its moduli equals `total`."""
     weights = family.weights(range(spec.n, spec.trunc + 1), spec.p, spec.operator)
-    mass = math.fsum(w * abs(x) for w, x in zip(weights, d))
+    mass = criteria._weighted_sum(weights, d.real, d.imag)
     if mass == 0.0:
         raise DomainError("degenerate draw: all difference coefficients vanish")
     return d * (total / mass)

@@ -47,7 +47,9 @@ def complex_close(x: complex, y: complex) -> bool:
 
 
 def wrap_angle(theta: float) -> float:
-    """Reduce an angle to the interval [-pi, pi)."""
+    """Reduce an angle to the interval [-pi, pi); a non-finite angle is a DomainError."""
+    if not math.isfinite(theta):
+        raise DomainError(f"angle must be finite, got {theta!r}")
     w = math.fmod(theta + math.pi, _TWO_PI)
     if w < 0.0:
         w += _TWO_PI
@@ -326,26 +328,27 @@ def _require_float_weight(k: int, p: int, m: int, omega: int) -> None:
         raise _weight_overflow(p, m, omega)
 
 
-def blend_weight(k: int | range, p: int, params: OperatorParams) -> float | list[float]:
+def blend_weight(k: int | range, p: int, params: OperatorParams) -> float | np.ndarray:
     """Weight multiplying a_{k+p} in the blended operator image (value side).
 
-    Given a range of indices instead of one, returns the list of their
-    weights, computed in one pass.
+    Given a range of indices instead of one, returns the float64 array of
+    their weights from one pass, bit for bit the per-index values.
     """
     if isinstance(k, range):
-        return _weight_pass(k, p, params, derivative=False).tolist()
+        return _weight_pass(k, p, params, derivative=False)
     return _weight_pass(range(k, k + 1), p, params, derivative=False).item()
 
 
 def blend_derivative_weight(
     k: int | range, p: int, params: OperatorParams
-) -> float | list[float]:
+) -> float | np.ndarray:
     """Weight multiplying a_{k+p} in the normalised derivative of the image.
 
-    Equal to (k+p-m) times `blend_weight`; a range of indices gives a list.
+    Equal to (k+p-m) times `blend_weight`; a range of indices gives the
+    float64 array of their weights, as for `blend_weight`.
     """
     if isinstance(k, range):
-        return _weight_pass(k, p, params, derivative=True).tolist()
+        return _weight_pass(k, p, params, derivative=True)
     return _weight_pass(range(k, k + 1), p, params, derivative=True).item()
 
 

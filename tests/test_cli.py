@@ -809,21 +809,24 @@ def function_file_pair(draw):
     return {**head, "coefficients": f}, {**head, "coefficients": g}
 
 
-# finite floats up to 1e300 in magnitude, the non-finite spellings, pi-forms
-# and the empty string; small nonnegative floats, drawn most often, make a
-# verdict likelier
+# every finite float up to 1.7976931348623157e308 in magnitude, so alpha - beta
+# and k*phi can overflow, the non-finite spellings, pi-forms and the empty
+# string; small nonnegative floats, drawn most often, make a verdict likelier
 number_texts = st.one_of(
     st.floats(0.0, 4.0).map(repr),
     st.floats(0.0, 4.0).map(repr),
-    st.floats(-1e300, 1e300).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e308", "-1e308", "1.7976931348623157e308", "-1.7976931348623157e308"]),
     st.floats(-4.0, 4.0).map(lambda x: f"pi*{x!r}"),
     st.sampled_from(["nan", "inf", "-inf", "pi*", "pi*nan", "-pi*inf", ""]),
 )
 
 
 @st.composite
-def cli_argv(draw, cli, paths: dict):
-    """An argv for any command; --grid and -K also take one past their caps."""
+def cli_argv(draw):
+    """An argv for any command, the file paths spelled F, G and OUT; --grid and -K
+    also take one past their caps."""
+    from pvalent import cli
     from pvalent.circlemax import MAX_GRID
 
     def optional(flag, values):
@@ -831,10 +834,10 @@ def cli_argv(draw, cli, paths: dict):
 
     command = draw(st.sampled_from(["check", "apply", "construct", "suite"]))
     if command == "apply":
-        argv = ["apply", paths["f"], *draw(st.sampled_from([[], ["--prime"]]))]
+        argv = ["apply", "F", *draw(st.sampled_from([[], ["--prime"]]))]
     elif command == "construct":
         truncations = st.integers(-2, 512) | st.just(cli.criteria.MAX_TRUNC + 1)
-        argv = ["construct", paths["g"], f"--delta={draw(number_texts)}",
+        argv = ["construct", "G", f"--delta={draw(number_texts)}",
                 f"-K={draw(truncations)}",
                 *optional("--alpha", number_texts), *optional("--beta", number_texts)]
     elif command == "suite":
@@ -843,27 +846,57 @@ def cli_argv(draw, cli, paths: dict):
                 *optional("--seed", st.integers(-(2**70), 2**70))]
     else:
         grids = st.integers(-2, 2**16) | st.just(MAX_GRID + 1)
-        argv = ["check", paths["f"], paths["g"],
+        argv = ["check", "F", "G",
                 f"--criterion={draw(st.sampled_from(cli.CRITERIA))}",
                 f"--delta={draw(number_texts)}",
                 *optional("--alpha", number_texts), *optional("--beta", number_texts),
                 *optional("--phi", number_texts), *optional("--tolerance", number_texts),
                 *optional("--grid", grids)]
-    return argv + optional("--out", st.just(paths["out"]))
+    return argv + (["--out", "OUT"] if draw(st.booleans()) else [])
+
+
+# k*phi overflows at k = 2, the first nonzero difference; alpha - beta overflows
+OVERFLOW_FILES = (
+    {"p": 1, "n": 1, "m": 0, "lambda": 0.0, "Omega": 0, "coefficients": [[0, 0], [0.001, 0]]},
+    {"p": 1, "n": 1, "m": 0, "lambda": 0.0, "Omega": 0, "coefficients": []},
+)
+OVERFLOW_ARGVS = (
+    ["check", "F", "G", "--criterion", "nec-n", "--delta", "9", "--beta", "1", "--phi", "1e308"],
+    ["check", "F", "G", "--criterion", "suff-n", "--delta", "9", "--alpha", "1e308",
+     "--beta=-1e308"],
+    ["construct", "G", "--delta", "9", "--alpha", "1e308", "--beta=-1e308", "-K", "3"],
+)
 
 
 @settings(max_examples=500, deadline=None)
-@given(files=function_file_pair(), data=st.data())
-def test_fuzzed_arguments_exit_with_a_documented_code(cli, tmp_path_factory, files, data):
+@given(files=function_file_pair(), argv=cli_argv())
+@example(files=OVERFLOW_FILES, argv=OVERFLOW_ARGVS[0])
+@example(files=OVERFLOW_FILES, argv=OVERFLOW_ARGVS[1])
+@example(files=OVERFLOW_FILES, argv=OVERFLOW_ARGVS[2])
+def test_fuzzed_arguments_exit_with_a_documented_code(cli, tmp_path_factory, files, argv):
     """Any argv over valid files exits 0-3; no exception escapes as exit 4 or a traceback."""
     work = tmp_path_factory.getbasetemp()
-    f_path = write_json(work / "fuzz_f.json", files[0])
-    g_path = write_json(work / "fuzz_g.json", files[1])
-    paths = {"f": str(f_path), "g": str(g_path), "out": str(work / "fuzz_out.json")}
-    argv = data.draw(cli_argv(cli, paths))
+    paths = {
+        "F": str(write_json(work / "fuzz_f.json", files[0])),
+        "G": str(write_json(work / "fuzz_g.json", files[1])),
+        "OUT": str(work / "fuzz_out.json"),
+    }
+    argv = [paths.get(arg, arg) for arg in argv]
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
     stderr = err.getvalue()
     assert code in (0, 1, 2, 3), (argv, stderr)
     assert "internal error" not in stderr and "Traceback" not in stderr, (argv, stderr)
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_ARGVS, ids=["nec-n-phi", "suff-n-angles", "construct"])
+def test_angles_past_the_float_range_exit_three(tmp_path, argv):
+    # k*phi or alpha - beta overflows to inf; math.fmod used to raise a
+    # ValueError there, which exited 4 as an internal error
+    paths = {"F": write_json(tmp_path / "f.json", OVERFLOW_FILES[0]),
+             "G": write_json(tmp_path / "g.json", OVERFLOW_FILES[1])}
+    result = run_cli(*(paths.get(arg, arg) for arg in argv))
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("error: angle must be finite, got ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr

@@ -483,6 +483,138 @@ def test_alignment_scan_matches_the_loop_on_seeded_pairs():
             )
 
 
+def _modulus_loop(f, g, nb, align):
+    """Reference: the scalar modulus route the array fold replaced, |a_{k+p}| - |b_{k+p}|
+    over every k in order, raising at the first both-nonzero misaligned index."""
+    expected = nb.beta - nb.alpha
+    out = []
+    for k in _indices(f, g):
+        a = f.coefficient(k)
+        b = g.coefficient(k)
+        if a != 0 and b != 0:
+            gap = series.wrap_angle(cmath.phase(a) - cmath.phase(b) - expected)
+            if abs(gap) > align.tolerance:
+                raise HypothesisViolationError(
+                    f"argument alignment arg(a)-arg(b)=beta-alpha fails at index k={k}: "
+                    f"off by {gap!r} rad (tolerance {align.tolerance!r})"
+                )
+        out.append(abs(a) - abs(b))
+    return out
+
+
+_MODULUS_CHECKS = ((sufficient_n_modulus, DERIVATIVE), (sufficient_m_modulus, VALUE))
+
+
+def _modulus_outcomes(f, g, op, nb, align):
+    """(checked, reference) per family: the lhs as hex, or the alignment message."""
+    try:
+        moduli = _modulus_loop(f, g, nb, align)
+    except HypothesisViolationError as err:
+        moduli = str(err)
+    for check, family in _MODULUS_CHECKS:
+        if isinstance(moduli, str):
+            expected = moduli
+        else:
+            w = [float(x) for x in family.weights(_indices(f, g), f.p, op)]
+            expected = math.fsum(x * abs(v) for x, v in zip(w, moduli)).hex()
+        try:
+            got = check(f, g, op, nb, align).lhs.hex()
+        except HypothesisViolationError as err:
+            got = str(err)
+        yield got, expected
+
+
+def _modulus_pair(rng, size, p, n, expected, twist):
+    """a_k = r_k e^{i theta_k}, b_k = s_k e^{i (theta_k - expected + twist_k)}, with
+    zeros (signed, too) in a or b at random indices and b the shorter list at times."""
+    theta = rng.uniform(-math.pi, math.pi, size)
+    a = rng.uniform(0.0, 1e-3, size) * np.exp(1j * theta)
+    b = rng.uniform(0.0, 1e-3, size) * np.exp(1j * (theta - expected + twist))
+    a[rng.random(size) < 0.15] = complex(-0.0, 0.0)
+    b[rng.random(size) < 0.15] = complex(0.0, -0.0)
+    short = int(rng.integers(0, size + 1)) if rng.random() < 0.3 else size
+    return (
+        MultivalentFunction(p, n, tuple(a.tolist())),
+        MultivalentFunction(p, n, tuple(b[:short].tolist())),
+    )
+
+
+def test_modulus_forms_bitwise_match_the_loop_on_seeded_pairs():
+    rng = np.random.default_rng(23)
+    misaligned = aligned = 0
+    for trial in range(60):
+        size = int(rng.integers(1, 300))
+        p = int(rng.integers(1, 5))
+        op = OperatorParams(lam=float(rng.uniform()), m=int(rng.integers(0, p)), omega=2)
+        alpha = float(rng.uniform(-4.0, 4.0))
+        # |beta - alpha| up to 1e300: the gap is then rounding of the target alone
+        beta = alpha + float(rng.choice([1.0, 1e6, 1e15, 1e300])) * float(rng.uniform(-1, 1))
+        twist = rng.choice([0.0, 0.0, 1e-9, 1e-8, 2e-8], size) * rng.choice([-1.0, 1.0], size)
+        f, g = _modulus_pair(rng, size, p, int(rng.integers(1, 4)), beta - alpha, twist)
+        nb = NeighborhoodParams(alpha, beta, 1e9)
+        align = ArgAlignment(tolerance=float(rng.choice([1e-8, 1.5e-8, 0.0, 3.0])))
+        for got, expected in _modulus_outcomes(f, g, op, nb, align):
+            assert got == expected, trial
+            misaligned += got.startswith("argument alignment")
+            aligned += not got.startswith("argument alignment")
+    assert misaligned > 20 and aligned > 20
+
+
+def test_modulus_scan_bitwise_matches_the_loop_within_ulps_of_the_tolerance():
+    rng = np.random.default_rng(29)
+    op = OperatorParams(lam=0.5, m=1, omega=1)
+    for alpha, beta in ((0.3, 1.1), (-2.5, 3.0), (1.0, 1.0 + 1e6), (-1e300, 1e300), (5.0, -5e15)):
+        twist = np.zeros(400)
+        twist[[7, 250]] = (3e-8, -5e-8)
+        f, g = _modulus_pair(rng, 400, 2, 1, beta - alpha, twist)
+        nb = NeighborhoodParams(alpha, beta, 1e9)
+        # the largest scalar gap: the loop fails below it and holds from it on
+        gap = 0.0
+        for k in _indices(f, g):
+            x, y = f.coefficient(k), g.coefficient(k)
+            if x != 0 and y != 0:
+                gap = max(gap, abs(series.wrap_angle(cmath.phase(x) - cmath.phase(y) - (beta - alpha))))
+        tolerances = [gap]
+        for _ in range(3):
+            tolerances = [math.nextafter(tolerances[0], 0.0), *tolerances]
+            tolerances.append(math.nextafter(tolerances[-1], 4.0))
+        outcomes = []
+        for tol in tolerances:
+            pairs = list(_modulus_outcomes(f, g, op, nb, ArgAlignment(tolerance=tol)))
+            assert all(got == expected for got, expected in pairs), (alpha, beta, tol)
+            outcomes.append(not pairs[0][0].startswith("argument alignment"))
+        assert outcomes == [False] * 3 + [True] * 4, (alpha, beta)
+
+
+def test_modulus_scan_bitwise_reports_the_first_late_misaligned_index():
+    # a zero in a or in b leaves its index unconstrained, however twisted
+    g = MultivalentFunction(1, 1, tuple([0.5] * 2048))
+    nb = NeighborhoodParams(0.0, 0.0, 1e9)
+    for twisted, zeros, k in (
+        ({1999: 1e-7, 2047: 1e-7}, {}, 2000),
+        ({1999: 1e-7, 2047: 1e-7}, {1999: 0j}, 2048),
+        ({2047: 1e-7}, {2047: complex(-0.0, -0.0)}, None),
+        ({}, {}, None),
+    ):
+        coeffs = [cmath.exp(1j * twisted.get(i, 0.0)) for i in range(2048)]
+        for i, z in zeros.items():
+            coeffs[i] = z
+        f = MultivalentFunction(1, 1, tuple(coeffs))
+        for got, expected in _modulus_outcomes(f, g, plain_op(), nb, ArgAlignment()):
+            assert got == expected
+            assert got.startswith("argument alignment") == (k is not None)
+            if k is not None:
+                assert f"index k={k}:" in got
+
+
+def test_modulus_past_the_float_range_reads_inf_and_fails():
+    f = MultivalentFunction(1, 1, (complex(1.5e308, 1.5e308), 0.5))
+    g = MultivalentFunction(1, 1, (complex(1.0, 1.0), 0.25))  # aligned: both args pi/4
+    for check in (sufficient_n_modulus, sufficient_m_modulus):
+        v = check(f, g, plain_op(), NeighborhoodParams(0.0, 0.0, 4.0), ArgAlignment())
+        assert v.lhs == math.inf and not v.holds
+
+
 def test_necessary_rejects_failed_membership():
     # huge coefficient difference: not in the neighborhood
     f = MultivalentFunction(1, 1, (50.0,))

@@ -109,6 +109,16 @@ def test_operator_params_validation():
         OperatorParams(m=2).require_valence(2)
 
 
+def test_wrap_angle_rejects_a_non_finite_angle():
+    # inf used to escape math.fmod as a ValueError, and nan used to pass through
+    for theta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="angle must be finite"):
+            wrap_angle(theta)
+    with pytest.raises(DomainError):
+        phase_gap_radical(1e308, -1e308)  # alpha - beta overflows to inf
+    assert -math.pi <= wrap_angle(1.7976931348623157e308) < math.pi
+
+
 def test_wrap_angle_and_radical():
     assert wrap_angle(0.0) == 0.0
     assert abs(wrap_angle(2 * math.pi + 0.25) - 0.25) < 1e-15
@@ -335,6 +345,8 @@ def test_weight_pass_matches_per_index_weights(seed):
     value = blend_weight(ks, p, op)
     derivative = blend_derivative_weight(ks, p, op)
     assert len(value) == len(derivative) == len(ks)
+    assert isinstance(value, np.ndarray) and value.dtype == derivative.dtype == np.float64
+    assert type(blend_weight(n, p, op)) is type(blend_derivative_weight(n, p, op)) is float
     for k, w, wd in zip(ks, value, derivative):
         assert w == blend_weight(k, p, op) == _per_k_weight(k, p, op)
         assert wd == blend_derivative_weight(k, p, op) == _per_k_weight(k, p, op) * (k + p - m)
@@ -347,8 +359,9 @@ def test_weight_pass_matches_per_index_weights(seed):
 
 
 def test_weight_pass_empty_range():
-    assert blend_weight(range(3, 3), 2, OperatorParams()) == []
-    assert blend_derivative_weight(range(3, 3), 2, OperatorParams()) == []
+    for weight in (blend_weight, blend_derivative_weight):
+        out = weight(range(3, 3), 2, OperatorParams())
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.size == 0
 
 
 def test_weight_overflow_is_a_domain_error():
