@@ -14,14 +14,17 @@ are radians and accept an optional ``pi*`` prefix (``pi*0.5``); negative
 pi-forms need the ``--alpha=-pi*0.5`` spelling so the shell parser does not
 mistake them for flags.
 
-Loading validates the coefficient list in bulk: one pass over the entry
-types, one ``complex`` conversion and one finite check of the coefficients'
-sum, since any inf or nan makes the sum non-finite.  Only a list that fails
-this (or whose finite entries sum past the float range) is scanned entry by
-entry, to name the first bad index.  Output is built as one string per
-stream and written once; ``construct`` formats the partner without the
-pure-Python ``json`` indent encoder, byte for byte as ``json.dumps(doc,
-indent=2)`` would.
+Loading decodes the file's bytes with orjson and validates the coefficient
+list in bulk: one pass over the entry types, one ``complex`` conversion and
+one finite check of the coefficients' sum, since any inf or nan makes the
+sum non-finite.  Only a list that fails this (or whose finite entries sum
+past the float range) is scanned entry by entry, to name the first bad
+index.  A file that orjson rejects, that may nest too deep for it, that has
+other keys or that fails a check is loaded again by the ``json`` route,
+which gives every error its message; a file that loads has the same bits by
+either route.  Output is built as one string per stream and written once;
+``construct`` formats the partner without the pure-Python ``json`` indent
+encoder, byte for byte as ``json.dumps(doc, indent=2)`` would.
 
 Exit codes: 0 the checked statement holds (or the command succeeded),
 1 it fails, 2 usage or parse error (including an unreadable function file
@@ -40,7 +43,11 @@ import functools
 import json
 import math
 import sys
+from itertools import chain, starmap
 from pathlib import Path
+
+import numpy as np
+import orjson
 
 from . import criteria, harness
 from .circlemax import DEFAULT_GRID
@@ -86,7 +93,7 @@ def parse_angle(text: str) -> float:
     return sign * float(t)
 
 
-# json.loads yields numbers of exactly these types; bool is not among them
+# json and orjson decode numbers to exactly these types; bool is not among them
 _NUMBER_TYPES = frozenset((int, float))
 
 
@@ -110,11 +117,10 @@ def _bulk_coefficients(raw: list) -> tuple[complex, ...] | None:
         return ()
     if set(map(type, raw)) != {list} or set(map(len, raw)) != {2}:
         return None
-    re, im = zip(*raw)
-    if not _NUMBER_TYPES.issuperset(map(type, re + im)):
+    if not _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(raw))):
         return None
     try:
-        coeffs = tuple(map(complex, re, im))
+        coeffs = tuple(starmap(complex, raw))
     except OverflowError:
         return None
     return coeffs if cmath.isfinite(sum(coeffs)) else None
@@ -134,19 +140,61 @@ def _scanned_coefficients(raw: list, path: Path) -> tuple[complex, ...]:
     return tuple(coeffs)
 
 
+#: The keys of a function file; a document of these that passes the checks
+#: nests three deep at most.
+_FILE_KEYS = frozenset(("p", "n", "m", "lambda", "Omega", "coefficients"))
+
+#: orjson 3.8 builds nested values recursively, with no depth limit, at up to
+#: about 180 bytes of C stack a level (an 8 MB stack overflows between 30k and
+#: 60k nested objects), so it decodes only documents with at most this many
+#: brackets and braces: under 3 MB of stack at any nesting.
+_ORJSON_MAX_OPENERS = 2**14
+
+
 def load_function_file(path: Path) -> tuple[MultivalentFunction, OperatorParams]:
+    """The function and operator of a function file, or a FunctionFileError.
+
+    The bytes are decoded by orjson.  A document it rejects, one with more
+    than `_ORJSON_MAX_OPENERS` brackets and braces, one with a key outside
+    `_FILE_KEYS` (json may fail on its value, say for its nesting depth) and
+    one that fails a check are loaded again by the json route, which gives
+    every error its message.  A document that passes the checks on orjson's
+    values gives the same function and operator from json's: both read every
+    decimal to the same float, and the integers they read differently (past
+    64 bits, which orjson reads as floats) fail the integer checks or
+    convert to the same float.
+    """
+    try:
+        data = path.read_bytes()
+        # '[' (0x5b) and '{' (0x7b) are the bytes that read 0x7b with bit 5 set
+        openers = np.count_nonzero((np.frombuffer(data, np.uint8) | 0x20) == 0x7B)
+        if openers <= _ORJSON_MAX_OPENERS:
+            doc = orjson.loads(data)
+            if type(doc) is dict and doc.keys() <= _FILE_KEYS:
+                return _function_from_document(doc, path)
+    except (OSError, orjson.JSONDecodeError, FunctionFileError):
+        pass
+    return _function_from_document(_json_document(path), path)
+
+
+def _json_document(path: Path):
+    """The file decoded by `json`, with its error messages."""
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FunctionFileError(f"{path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FunctionFileError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer, too deep a nesting
         raise FunctionFileError(f"{path}: {exc}") from exc
+
+
+def _function_from_document(doc, path: Path) -> tuple[MultivalentFunction, OperatorParams]:
+    """Check a decoded document and build its function and operator."""
     if not isinstance(doc, dict):
         raise FunctionFileError(f"{path}: top-level value must be an object")
 
@@ -171,13 +219,12 @@ def load_function_file(path: Path) -> tuple[MultivalentFunction, OperatorParams]
     if not isinstance(raw, list):
         raise FunctionFileError(f"{path}: key 'coefficients' must be a list")
     coeffs = _bulk_coefficients(raw)
-    if coeffs is None:  # a bad entry, or finite entries whose sum overflows
-        coeffs = _scanned_coefficients(raw, path)
     try:
-        return (
-            MultivalentFunction(p, n, coeffs),
-            OperatorParams(lam=float(lam), m=m, omega=omega),
-        )
+        if coeffs is None:  # a bad entry, or finite entries whose sum overflows
+            f = MultivalentFunction(p, n, _scanned_coefficients(raw, path))
+        else:  # p and n are ints >= 1, and the bulk check is the constructor's
+            f = MultivalentFunction._trusted(p, n, coeffs)
+        return f, OperatorParams(lam=float(lam), m=m, omega=omega)
     except DomainError as exc:
         raise FunctionFileError(f"{path}: {exc}") from exc
 

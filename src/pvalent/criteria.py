@@ -622,8 +622,10 @@ def telescoping_partner(
     # every exact ratio is at most (base/(n+base))^omega; at or below 2^-1075 it rounds to +0.0
     underflows = op.omega > 1075 / math.log2((n + base) / base)
     scale = 0 if underflows else base**op.omega * (n + p - 1)
+    # g's coefficients b_{k+p} for k = n .. trunc, zero past its own truncation order
+    bs = g.coeffs + (0j,) * (trunc - g.truncation_order)
     coeffs = []
-    for k in range(n, trunc + 1):
+    for k, b in zip(range(n, trunc + 1), bs):
         core = 0.0
         if not underflows:
             den = (k + p - m) ** (op.omega + 1) * (k + p) ** 2 * (k + p - 1)
@@ -634,7 +636,7 @@ def telescoping_partner(
                 den *= falling_factorial(k + p - 1, m - 1)
             # exact integer division rounds once; the two float operations after it once each
             core = (num / den) * excess / (1.0 + op.lam * k / base)
-        coeffs.append(core * phase + twist * g.coefficient(k))
+        coeffs.append(core * phase + twist * b)
     return MultivalentFunction(p, n, tuple(coeffs))
 
 

@@ -118,6 +118,17 @@ class MultivalentFunction:
                     raise DomainError(f"coefficient at k={self.n + i} is not finite")
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _trusted(cls, p: int, n: int, coeffs: tuple[complex, ...]) -> MultivalentFunction:
+        """Build without validation from values the caller has already checked:
+        Python ints p, n >= 1 and a tuple of finite Python complexes whose sum
+        is finite."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "p", p)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "coeffs", coeffs)
+        return f
+
     @property
     def truncation_order(self) -> int:
         """Largest stored perturbation index K (n - 1 when the list is empty)."""

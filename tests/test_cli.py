@@ -12,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -762,22 +763,136 @@ coefficient_values = (
     | scalars
     | st.dictionaries(st.text(max_size=2), scalars, max_size=2)
 )
+# orjson reads integers past 64 bits as floats, which the integer checks reject
+header_values = (
+    st.integers(0, 3)
+    | st.integers(2**64, 2**70)
+    | st.integers(-(2**70), -(2**63) - 1)
+    | finite_floats
+    | st.booleans()
+)
+headers = st.dictionaries(st.sampled_from(["p", "n", "m", "Omega"]), header_values, max_size=4)
 
 
 @settings(max_examples=400, deadline=None)
-@given(coefficients=coefficient_values, lam=st.sampled_from([0.5, 1, -0.0, True, "x"]) | numbers)
-@example(coefficients=[[1e308, 0], [1e308, 0]], lam=0.5)
-@example(coefficients=[[1e308, 1e308], [1e308, 1e308], [float("inf"), 0]], lam=0.5)
-@example(coefficients=[[-1e308, 0], [1e308, 0], [1e308, 0], [float("nan"), 0]], lam=0.5)
-@example(coefficients=[[0.5, 1], [True, 0.0]], lam=0.5)
-@example(coefficients=[[0.5, 1], [2, int("9" * 400)]], lam=int("1" * 400))
-def test_bulk_loader_matches_per_entry_oracle(cli, tmp_path_factory, coefficients, lam):
+@given(
+    coefficients=coefficient_values,
+    lam=st.sampled_from([0.5, 1, -0.0, True, "x"]) | numbers,
+    header=headers,
+)
+@example(coefficients=[[1e308, 0], [1e308, 0]], lam=0.5, header={})
+@example(coefficients=[[1e308, 1e308], [1e308, 1e308], [float("inf"), 0]], lam=0.5, header={})
+@example(
+    coefficients=[[-1e308, 0], [1e308, 0], [1e308, 0], [float("nan"), 0]], lam=0.5, header={}
+)
+@example(coefficients=[[0.5, 1], [True, 0.0]], lam=0.5, header={})
+@example(coefficients=[[0.5, 1], [2, int("9" * 400)]], lam=int("1" * 400), header={})
+@example(coefficients=[[2**64, -(2**63) - 1]], lam=0.5, header={"p": 2**64 + 1})
+def test_bulk_loader_matches_per_entry_oracle(cli, tmp_path_factory, coefficients, lam, header):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     doc = {"p": 2, "n": 1, "m": 1, "lambda": lam, "coefficients": coefficients}
+    doc.update(header)
     path.write_text(json.dumps(doc), encoding="utf-8")
     expected = load_outcome(lambda q: oracle_load(cli, q), path)
     assert load_outcome(cli.load_function_file, path) == expected
     assert expected[0] != "OverflowError"
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+# Edits of a valid document's text where orjson and json could part: tokens
+# and numbers orjson rejects, integers it reads as floats, a BOM, lone
+# surrogates, line ends, duplicate keys (the later one wins in both) and
+# nesting, which json stops at its recursion limit and orjson 3.8 does not.
+# The loader must give the oracle's outcome for each.
+RAW_EDITS = {
+    "NaN lambda": lambda t: t[:-1] + ', "lambda": NaN}',
+    "Infinity entry": lambda t: t[:-1] + ', "coefficients": [[0.5, Infinity]]}',
+    "-Infinity entry": lambda t: t[:-1] + ', "coefficients": [[-Infinity, 0]]}',
+    "4301-digit entry": lambda t: t[:-1] + ', "coefficients": [[1, %s]]}' % ("9" * 4301),
+    "4301-digit p": lambda t: t[:-1] + ', "p": %s}' % ("1" + "0" * 4300),
+    "4301-digit extra key": lambda t: '{"note": %s, ' % ("9" * 4301) + t[1:],
+    "1e309 entry": lambda t: t[:-1] + ', "coefficients": [[1e309, 0]]}',
+    "20-digit entries": lambda t: t[:-1] + ', "coefficients": [[%s, -%s]]}' % ("7" * 20, "3" * 20),
+    "BOM": lambda t: "\ufeff" + t,
+    "lone surrogate extra key": lambda t: '{"note": "\\ud800", ' + t[1:],
+    "lone surrogate key": lambda t: '{"\\udfff": 1, ' + t[1:],
+    "lone surrogate p": lambda t: t[:-1] + ', "p": "\\ud800"}',
+    "CRLF": lambda t: t.replace("\n", "\r\n"),
+    "CR": lambda t: t.replace("\n", "\r"),
+    "duplicate p": lambda t: t[:-1] + ', "p": 3}',
+    "duplicate coefficients first": lambda t: '{"coefficients": 7, ' + t[1:],
+    "duplicate coefficients last": lambda t: t[:-1] + ', "coefficients": [[0.25, -0.5]]}',
+    "nesting 300 extra key": lambda t: '{"note": %s, ' % _nested(300) + t[1:],
+    "nesting 1000 extra key": lambda t: '{"note": %s, ' % _nested(1000) + t[1:],
+    "nesting 1025 extra key": lambda t: '{"note": %s, ' % _nested(1025) + t[1:],
+    # json stops at the recursion limit, which Hypothesis raises by 2000 while
+    # a test runs; 10000 lies past that and under the loader's opener cap
+    "nesting 10000 extra key": lambda t: '{"note": %s, ' % _nested(10000) + t[1:],
+    "nesting 20000 extra key": lambda t: '{"note": %s, ' % _nested(20000) + t[1:],
+    "nesting 1025 entry": lambda t: t[:-1] + ', "coefficients": [%s]}' % _nested(1025),
+    "nesting 1025 top level": lambda t: _nested(1025),
+}
+
+
+@pytest.mark.parametrize("edit", RAW_EDITS)
+@settings(max_examples=15, deadline=None)
+@given(
+    coefficients=st.lists(st.lists(finite_floats, min_size=2, max_size=2), max_size=4),
+    indent=st.sampled_from([None, 2]),
+)
+def test_raw_text_variants_load_as_the_oracle_does(
+    cli, tmp_path_factory, edit, coefficients, indent
+):
+    path = tmp_path_factory.getbasetemp() / "raw.json"
+    doc = {"p": 2, "n": 1, "m": 1, "lambda": 0.5, "coefficients": coefficients}
+    path.write_text(RAW_EDITS[edit](json.dumps(doc, indent=indent)), encoding="utf-8")
+    expected = load_outcome(lambda q: oracle_load(cli, q), path)
+    assert load_outcome(cli.load_function_file, path) == expected
+
+
+def test_deeply_nested_file_is_a_file_error(tmp_path):
+    # orjson 3.8 recurses without a limit and overflows the C stack near
+    # 150k nested arrays; json stops at its recursion limit
+    src = tmp_path / "deep.json"
+    src.write_text('{"p": 1, "n": 1, "note": %s}' % _nested(10**6), encoding="utf-8")
+    result = run_cli("apply", src)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: {src}: maximum recursion depth exceeded")
+
+
+@st.composite
+def decimal_texts(draw):
+    """A JSON number of up to 40 significant digits, with or without an exponent."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    cut = draw(st.integers(1, len(digits)))
+    text = digits[:cut].lstrip("0") or "0"
+    if cut < len(digits):
+        text += "." + digits[cut:]
+    exponent = draw(st.none() | st.integers(-400, 400))
+    if exponent is not None:
+        text += f"e{exponent:+d}" if draw(st.booleans()) else f"E{exponent}"
+    return draw(st.sampled_from(["", "-"])) + text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=finite_floats.map(repr) | decimal_texts())
+@example(text="18446744073709551616")
+@example(text="-9223372036854775809")
+@example(text="2.4703282292062328e-324")
+@example(text="-1e-400")
+def test_orjson_reads_numbers_to_the_bits_json_reads(text):
+    slow = json.loads(text)
+    try:
+        fast = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        assert not math.isfinite(slow), text  # only numbers past the float range
+        return
+    # orjson reads integers past 64 bits as floats; every other number as json does
+    assert type(fast) is type(slow) or not -(2**63) <= slow < 2**64, text
+    assert float(fast).hex() == float(slow).hex(), text
 
 
 def test_finite_entries_whose_sum_overflows_load(cli, tmp_path):

@@ -43,6 +43,7 @@ from pvalent.criteria import (
     DERIVATIVE,
     MAX_TRUNC,
     VALUE,
+    _ALIGN_SLACK,
     _differences,
     _indices,
     _weighted_sum,
@@ -605,6 +606,44 @@ def test_modulus_scan_bitwise_reports_the_first_late_misaligned_index():
             assert got.startswith("argument alignment") == (k is not None)
             if k is not None:
                 assert f"index k={k}:" in got
+
+
+def test_modulus_scan_slack_covers_an_ulp_of_a_large_target(monkeypatch):
+    # An arctan2 a few ulps off cmath.phase can move the rounded gap
+    # wrap(angle - target) by a whole ulp of |target|.  Stand in for one with
+    # cmath.phase moved 2 ulps toward a smaller |gap|, and take the first phase
+    # where the move crosses a rounding boundary: the array gap then lies inside
+    # tolerance - 4 _ALIGN_SLACK while the scalar gap exceeds the tolerance, so
+    # only the _ALIGN_SLACK |target| term keeps the index a candidate.
+    expected = 300.0
+    nb = NeighborhoodParams(0.0, expected, 1e9)
+    g = MultivalentFunction(1, 1, (1.0 + 0j,))
+
+    def nudged(angle, toward):
+        return math.nextafter(math.nextafter(angle, toward), toward)
+
+    for j in range(20000):
+        a = cmath.rect(1.0, 0.5 + 1e-7 * j)
+        gap = series.wrap_angle(cmath.phase(a) - expected)
+        toward = -math.copysign(math.inf, gap)
+        array_gap = series.wrap_angle(nudged(cmath.phase(a), toward) - expected)
+        tolerance = math.nextafter(abs(gap), 0.0)
+        if abs(array_gap) <= tolerance - 4.0 * _ALIGN_SLACK:
+            break
+    else:
+        pytest.fail("no phase within 2 ulps of a rounding boundary of the gap")
+    assert abs(array_gap) > tolerance - _ALIGN_SLACK * (4.0 + expected)
+
+    def arctan2(y, x):
+        return np.array(
+            [nudged(cmath.phase(complex(u, v)), toward) for v, u in zip(y.tolist(), x.tolist())]
+        )
+
+    monkeypatch.setattr(np, "arctan2", arctan2)
+    f = MultivalentFunction(1, 1, (a,))
+    for got, want in _modulus_outcomes(f, g, plain_op(), nb, ArgAlignment(tolerance=tolerance)):
+        assert got == want
+        assert got.startswith("argument alignment arg(a)-arg(b)=beta-alpha fails at index k=1:")
 
 
 def test_modulus_past_the_float_range_reads_inf_and_fails():
