@@ -71,6 +71,13 @@ EXIT_INTERNAL = 4
 
 CRITERIA = ("suff-n", "suff-m", "member-n", "member-m", "nec-n", "nec-m", "thm211")
 
+# the FALSIFICATION EVENT line of each criterion kind (the token before any "-")
+_EVENTS = {
+    "thm211": "hypothesis held but conclusion failed",
+    "nec": "verified hypotheses, failed conclusion",
+    "member": "sum criterion holds but membership failed",
+}
+
 
 class FunctionFileError(PValentError):
     """A function file failed to parse or validate."""
@@ -329,10 +336,9 @@ def cmd_check(args) -> int:
     }
     print(f"criterion : {args.criterion}")
 
-    # each branch prints its verdicts and sets the report verdict, any further
-    # report fields and, for a falsification, the event text
+    # each branch prints its verdicts and sets the report verdict and any
+    # further report fields; `criteria` decides every falsification
     fields: dict = {}
-    event = None
     if args.criterion == "thm211":
         pair = criteria.transfer_check(f, g, op, nb, args.grid)
         verdict = pair.conclusion
@@ -341,8 +347,6 @@ def cmd_check(args) -> int:
         print("conclusion (value-side sup bound)")
         _print_verdict("  ", verdict)
         fields["hypothesis"] = pair.hypothesis.to_dict()
-        if pair.falsification:
-            event = "hypothesis held but conclusion failed"
     elif args.criterion in ("nec-n", "nec-m"):
         if args.phi is None:
             raise UsageError("--phi is required for the nec-n and nec-m criteria")
@@ -350,30 +354,26 @@ def cmd_check(args) -> int:
         check = criteria.necessary_n if args.criterion == "nec-n" else criteria.necessary_m
         verdict = check(f, g, op, nb, align, grid=args.grid)
         _print_verdict("", verdict)
-        if verdict.falsification:
-            event = "verified hypotheses, failed conclusion"
     elif args.criterion in ("suff-n", "suff-m"):
         check = criteria.sufficient_n if args.criterion == "suff-n" else criteria.sufficient_m
         verdict = check(f, g, op, nb)
         _print_verdict("", verdict)
     else:
         # member-n / member-m: also surface the sum criterion, whose holding
-        # guarantees membership; disagreement in that direction is a falsification
+        # guarantees membership
         family = criteria.DERIVATIVE if args.criterion == "member-n" else criteria.VALUE
         verdict, companion = criteria.membership_with_sum(family, f, g, op, nb, args.grid)
         _print_verdict("", verdict)
         print("sufficient-side companion")
         _print_verdict("  ", companion)
-        falsified = companion.holds and not verdict.holds
         if companion.holds:
             print("note      : sum criterion holds, so membership is implied")
         fields["sufficient_side"] = companion.to_dict()
         fields["implied_by_sufficient"] = bool(companion.holds)
-        fields["falsification"] = bool(falsified)
-        if falsified:
-            event = "sum criterion holds but membership failed"
+        fields["falsification"] = bool(verdict.falsification)
 
-    if event is not None:
+    if verdict.falsification:
+        event = _EVENTS[args.criterion.partition("-")[0]]
         print(f"FALSIFICATION EVENT: {event}", file=sys.stderr)
     _write_document({**doc, "verdict": verdict.to_dict(), **fields}, args.out)
     return EXIT_HOLDS if verdict.holds else EXIT_FAILS

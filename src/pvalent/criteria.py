@@ -19,10 +19,10 @@ family there is
   arguments aligned along k*phi and 0 <= alpha < beta <= pi.
 
 The ``_n``/``_m`` entry points are one-line calls into one body per kind of
-check.  Sum criteria use <=, supremum tests use strict <.  Whenever a check
-whose hypotheses were verified numerically fails its guaranteed conclusion,
-the verdict is marked as a falsification event and logged loudly; that
-always means an implementation or tolerance defect, not new mathematics.
+check.  One rule, `_decide`, gives every verdict: sums use <=, suprema strict
+<.  When a check whose hypotheses were verified numerically fails its
+guaranteed conclusion, the verdict is marked as a falsification event and
+logged loudly; that always means an implementation or tolerance defect.
 """
 
 from __future__ import annotations
@@ -98,6 +98,18 @@ class Verdict:
         }
 
 
+def _decide(lhs, threshold, strict, notes=(), falsified=None) -> Verdict:
+    """`lhs` against `threshold`: strictly below for a supremum (`strict`), at
+    most for a sum.  `falsified` is the log text (%r for lhs, then threshold)
+    of a conclusion whose hypotheses the caller verified, else falsy; if that
+    conclusion fails, the verdict is flagged, noted and logged."""
+    holds = lhs < threshold if strict else lhs <= threshold
+    if holds or not falsified:
+        return Verdict(holds, lhs, threshold, notes=notes)
+    logger.error("FALSIFICATION: " + falsified, lhs, threshold)
+    return Verdict(holds, lhs, threshold, falsification=True, notes=(*notes, _FALSIFICATION_NOTE))
+
+
 @dataclass(frozen=True)
 class ArgAlignment:
     """Alignment hypothesis arg(e^{i alpha} a_{k+p} - e^{i beta} b_{k+p}) = k phi.
@@ -126,7 +138,7 @@ class ImplicationPair:
 
     @property
     def falsification(self) -> bool:
-        return self.hypothesis.holds and not self.conclusion.holds
+        return self.conclusion.falsification
 
 
 @dataclass(frozen=True)
@@ -141,13 +153,17 @@ class Family:
     label: str
     order: int
 
+    def lead(self, p: int, m: int) -> int:
+        """p!/(p-m-order)!, the constant term of the family's image."""
+        return falling_factorial(p, m + self.order)
+
     def bound(self, p: int, m: int, alpha: float, beta: float) -> float:
         """Admissibility bound p!/(p-m-order)! sqrt(2[1-cos(alpha-beta)])."""
         if m < 0:
             raise DomainError(f"derivative order m must be >= 0, got {m}")
         if p <= m:
             raise DomainError(f"valence p={p} must exceed derivative order m={m}")
-        return falling_factorial(p, m + self.order) * phase_gap_radical(alpha, beta)
+        return self.lead(p, m) * phase_gap_radical(alpha, beta)
 
     def weights(self, ks: range, p: int, op: OperatorParams) -> np.ndarray:
         """Coefficient weights (k+p-m)^order W(k) for every k in `ks`, as a float64 array."""
@@ -158,12 +174,12 @@ class Family:
         if self.order:
             return ()
         strict = DERIVATIVE.bound(p, m, nb.alpha, nb.beta)
-        if nb.delta <= strict + ADMISSIBILITY_MARGIN:
-            return (
-                "delta clears only the weaker published value-side lower bound; "
-                f"the stricter derivative-style bound is {strict!r}",
-            )
-        return ()
+        if _admissible(nb.delta, strict):
+            return ()
+        return (
+            "delta clears only the weaker published value-side lower bound; "
+            f"the stricter derivative-style bound is {strict!r}",
+        )
 
 
 DERIVATIVE = Family("derivative-side", 1)
@@ -212,8 +228,13 @@ def _require_compatible(
     op.require_valence(f.p)
 
 
+def _admissible(delta: float, bound: float) -> bool:
+    """delta exceeds `bound` by more than `ADMISSIBILITY_MARGIN`."""
+    return delta > bound + ADMISSIBILITY_MARGIN
+
+
 def _require_admissible(delta: float, bound: float, label: str) -> None:
-    if delta <= bound + ADMISSIBILITY_MARGIN:
+    if not _admissible(delta, bound):
         raise InadmissibleDeltaError(
             f"delta={delta!r} must exceed the {label} lower bound {bound!r}"
         )
@@ -306,13 +327,8 @@ def _sufficient(
         )
         with np.errstate(over="ignore", invalid="ignore"):
             re, im = np.hypot(a.real, a.imag) - np.hypot(b.real, b.imag), 0.0
-    return _sum_verdict(_weights(family, f, g, op), re, im, nb.delta - bound, notes)
-
-
-def _sum_verdict(w, re, im, thr: float, notes: tuple[str, ...]) -> Verdict:
-    """The weighted sum of |re + i im| against `thr` (inclusive)."""
-    lhs = _weighted_sum(w, re, im)
-    return Verdict(lhs <= thr, lhs, thr, notes=notes)
+    lhs = _weighted_sum(_weights(family, f, g, op), re, im)
+    return _decide(lhs, nb.delta - bound, False, notes)
 
 
 def sufficient_n(
@@ -390,9 +406,8 @@ def phase_difference(
     a, b, re, im = diffs
     _image_tail(w, a, f.n)
     _image_tail(w, b, f.n)
-    lead = falling_factorial(f.p, op.m + family.order)
     out = np.zeros(f.n + w.size, dtype=np.complex128)
-    out[0] = lead * (cmath.exp(1j * nb.alpha) - cmath.exp(1j * nb.beta))
+    out[0] = family.lead(f.p, op.m) * (cmath.exp(1j * nb.alpha) - cmath.exp(1j * nb.beta))
     out[f.n :] = _weighted_products(w, re, im)
     return out
 
@@ -408,14 +423,19 @@ def membership_with_sum(
     """The family's boundary supremum against delta (strict), and its sufficient
     sum criterion from the same weights and differences: one weight pass for
     the pair that `sufficient_*` and `membership_*` return apart, with the
-    same bytes and the same errors in the same order.  Not exported."""
+    same bytes and the same errors in the same order.  The sum implies
+    membership: a failed membership whose sum holds is a falsification."""
     bound = _admitted_bound(family, f, g, op, nb)
     notes = family.notes(nb, f.p, op.m)
     w = _weights(family, f, g, op)
     _, _, re, im = diffs = _differences(f, g, nb)
-    lhs = max_modulus_on_circle(phase_difference(family, f, op, nb, w, diffs), grid)[0]
-    member = Verdict(lhs < nb.delta, lhs, nb.delta, notes=notes)
-    return member, _sum_verdict(w, re, im, nb.delta - bound, notes)
+    sup = max_modulus_on_circle(phase_difference(family, f, op, nb, w, diffs), grid)[0]
+    suff = _decide(_weighted_sum(w, re, im), nb.delta - bound, False, notes)
+    falsified = suff.holds and (
+        f"{family.label} membership failed although its sufficient sum held "
+        "(lhs=%r, threshold=%r)"
+    )
+    return _decide(sup, nb.delta, True, notes, falsified), suff
 
 
 def membership_n(
@@ -488,9 +508,10 @@ def _necessary(
 ) -> Verdict:
     """The family's weighted sum against delta - p!/(p-m-1)! (cos alpha - cos beta).
 
-    Both families share that threshold.  The angle range, the alignment and
-    (at `grid`) membership are verified first, so a failed bound is a
-    falsification.
+    Both families use this derivative-side lead, although the value-side
+    image leads with p!/(p-m)! (README, Known issues).  The angle range, the
+    alignment and (at `grid`) membership are verified first, so a failed
+    bound is a falsification.
     """
     _require_compatible(f, g, op)
     if not (0.0 <= nb.alpha < nb.beta <= math.pi):
@@ -511,26 +532,17 @@ def _necessary(
     notes = family.notes(nb, f.p, op.m)
     w = _weights(family, f, g, op)
     sup = max_modulus_on_circle(phase_difference(family, f, op, nb, w, diffs), grid)[0]
-    if not sup < nb.delta:
+    if not _decide(sup, nb.delta, True).holds:
         raise HypothesisViolationError(
             "membership hypothesis fails: boundary supremum "
             f"{sup!r} is not below delta={nb.delta!r}"
         )
-    lhs = _weighted_sum(w, re, im)
-    thr = nb.delta - falling_factorial(f.p, op.m + 1) * (
-        math.cos(nb.alpha) - math.cos(nb.beta)
+    thr = nb.delta - DERIVATIVE.lead(f.p, op.m) * (math.cos(nb.alpha) - math.cos(nb.beta))
+    return _decide(
+        _weighted_sum(w, re, im), thr, False, notes,
+        f"{family.label} necessity bound failed with verified hypotheses "
+        "(lhs=%r, threshold=%r)",
     )
-    holds = lhs <= thr
-    if not holds:
-        notes += (_FALSIFICATION_NOTE,)
-        logger.error(
-            "FALSIFICATION: %s necessity bound failed with verified "
-            "hypotheses (lhs=%r, threshold=%r)",
-            family.label,
-            lhs,
-            thr,
-        )
-    return Verdict(holds, lhs, thr, falsification=not holds, notes=notes)
 
 
 def necessary_n(
@@ -564,8 +576,8 @@ def necessary_m(
     """Value-side necessity bound.
 
     Same hypotheses as `necessary_n` with value-side membership and weight;
-    the guaranteed conclusion is
-    lhs <= delta + p!/(p-m-1)! (cos beta - cos alpha).
+    the threshold delta + p!/(p-m-1)! (cos beta - cos alpha) takes the
+    derivative-side constant, not p!/(p-m)! (README, Known issues).
     """
     return _necessary(VALUE, f, g, op, nb, align, grid)
 
@@ -680,22 +692,13 @@ def transfer_check(
     diffs = _differences(f, g, nb)
     w = _weights(DERIVATIVE, f, g, op)
     hyp_lhs = max_modulus_on_circle(phase_difference(DERIVATIVE, f, op, nb, w, diffs), grid)[0]
-    hypothesis = Verdict(hyp_lhs < hyp_thr, hyp_lhs, hyp_thr)
+    hypothesis = _decide(hyp_lhs, hyp_thr, True)
 
     con_thr = nb.delta + VALUE.bound(p, m, nb.alpha, nb.beta)
     w = _weights(VALUE, f, g, op)
     con_lhs = max_modulus_on_circle(phase_difference(VALUE, f, op, nb, w, diffs), grid)[0]
-    con_holds = con_lhs < con_thr
-    falsification = hypothesis.holds and not con_holds
-    notes: tuple[str, ...] = (_FALSIFICATION_NOTE,) if falsification else ()
-    if falsification:
-        logger.error(
-            "FALSIFICATION: transfer conclusion failed although the hypothesis "
-            "held (hypothesis lhs=%r < %r, conclusion lhs=%r >= %r)",
-            hyp_lhs,
-            hyp_thr,
-            con_lhs,
-            con_thr,
-        )
-    conclusion = Verdict(con_holds, con_lhs, con_thr, falsification=falsification, notes=notes)
-    return ImplicationPair(hypothesis, conclusion)
+    falsified = hypothesis.holds and (
+        "transfer conclusion failed although the hypothesis held "
+        f"(hypothesis lhs={hyp_lhs!r} < {hyp_thr!r}, conclusion lhs=%r >= %r)"
+    )
+    return ImplicationPair(hypothesis, _decide(con_lhs, con_thr, True, (), falsified))

@@ -445,14 +445,9 @@ def _suite_rotation_invariance(rng) -> dict | None:
 
     def verdicts(params):
         pair = criteria.transfer_check(f, g, op, params, grid)
-        return [
-            criteria.sufficient_n(f, g, op, params),
-            criteria.sufficient_m(f, g, op, params),
-            criteria.membership_n(f, g, op, params, grid),
-            criteria.membership_m(f, g, op, params, grid),
-            pair.hypothesis,
-            pair.conclusion,
-        ]
+        mem_n, sum_n = criteria.membership_with_sum(criteria.DERIVATIVE, f, g, op, params, grid)
+        mem_m, sum_m = criteria.membership_with_sum(criteria.VALUE, f, g, op, params, grid)
+        return [sum_n, sum_m, mem_n, mem_m, pair.hypothesis, pair.conclusion]
 
     for base, moved in zip(verdicts(nb), verdicts(shifted)):
         if base.holds != moved.holds:

@@ -1015,3 +1015,151 @@ def test_angles_past_the_float_range_exit_three(tmp_path, argv):
     assert result.returncode == 3, result.stderr
     assert result.stderr.startswith("error: angle must be finite, got ")
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# falsification events
+# ---------------------------------------------------------------------------
+# Every boundary supremum of a check goes through the module attribute
+# criteria.max_modulus_on_circle, so replacing it forces each falsifiable
+# statement to fail its conclusion with every hypothesis verified.
+
+FALSIFICATION_NOTE = "falsification: hypotheses verified but the guaranteed conclusion failed"
+
+# d_1 = a_2 = 100 is aligned along phi = 0; at alpha = 0, beta = pi/2 and
+# delta = 2 the necessity threshold is 2 - (cos 0 - cos pi/2), about 1
+NECESSITY_FILES = ({"p": 1, "n": 1, "coefficients": [[100.0, 0.0]]}, {"p": 1, "n": 1})
+NECESSITY_THRESHOLD = 2.0 - (math.cos(0.0) - math.cos(math.pi * 0.5))
+
+# (files, argv after the two paths, suprema in call order, exit code,
+#  stdout, FALSIFICATION EVENT text, logged message)
+FALSIFICATION_CASES = {
+    "nec-n": (
+        NECESSITY_FILES,
+        ["--criterion", "nec-n", "--delta", "2", "--beta", "pi*0.5", "--phi", "0"],
+        [0.0],
+        1,
+        "criterion : nec-n\nholds     : no\nlhs       : 200.0\n"
+        f"threshold : {NECESSITY_THRESHOLD!r}\nmargin    : {NECESSITY_THRESHOLD - 200.0!r}\n"
+        f"note      : {FALSIFICATION_NOTE}\n",
+        "verified hypotheses, failed conclusion",
+        "FALSIFICATION: derivative-side necessity bound failed with verified hypotheses "
+        f"(lhs=200.0, threshold={NECESSITY_THRESHOLD!r})",
+    ),
+    "nec-m": (
+        NECESSITY_FILES,
+        ["--criterion", "nec-m", "--delta", "2", "--beta", "pi*0.5", "--phi", "0"],
+        [0.0],
+        1,
+        "criterion : nec-m\nholds     : no\nlhs       : 100.0\n"
+        f"threshold : {NECESSITY_THRESHOLD!r}\nmargin    : {NECESSITY_THRESHOLD - 100.0!r}\n"
+        f"note      : {FALSIFICATION_NOTE}\n",
+        "verified hypotheses, failed conclusion",
+        "FALSIFICATION: value-side necessity bound failed with verified hypotheses "
+        f"(lhs=100.0, threshold={NECESSITY_THRESHOLD!r})",
+    ),
+    "thm211": (
+        (IDENTITY_FILE, IDENTITY_FILE),
+        ["--criterion", "thm211", "--delta", "1"],
+        [0.0, 1e9],
+        1,
+        "criterion : thm211\nhypothesis (derivative-side sup bound)\n"
+        "  holds     : yes\n  lhs       : 0.0\n  threshold : 2.0\n  margin    : 2.0\n"
+        "conclusion (value-side sup bound)\n"
+        "  holds     : no\n  lhs       : 1000000000.0\n  threshold : 1.0\n"
+        f"  margin    : -999999999.0\n  note      : {FALSIFICATION_NOTE}\n",
+        "hypothesis held but conclusion failed",
+        "FALSIFICATION: transfer conclusion failed although the hypothesis held "
+        "(hypothesis lhs=0.0 < 2.0, conclusion lhs=1000000000.0 >= 1.0)",
+    ),
+}
+for criterion, label in (("member-n", "derivative-side"), ("member-m", "value-side")):
+    # f = g: the sum criterion holds with lhs 0, and a supremum of delta fails
+    FALSIFICATION_CASES[criterion] = (
+        (IDENTITY_FILE, IDENTITY_FILE),
+        ["--criterion", criterion, "--delta", "1"],
+        [1.0],
+        1,
+        f"criterion : {criterion}\nholds     : no\nlhs       : 1.0\nthreshold : 1.0\n"
+        f"margin    : 0.0\nnote      : {FALSIFICATION_NOTE}\nsufficient-side companion\n"
+        "  holds     : yes\n  lhs       : 0.0\n  threshold : 1.0\n  margin    : 1.0\n"
+        "note      : sum criterion holds, so membership is implied\n",
+        "sum criterion holds but membership failed",
+        f"FALSIFICATION: {label} membership failed although its sufficient sum held "
+        "(lhs=1.0, threshold=1.0)",
+    )
+
+
+def forced_suprema(monkeypatch, criteria, suprema):
+    """Make the checks' boundary suprema read `suprema`, one per call, in order."""
+    values = iter(suprema)
+    monkeypatch.setattr(criteria, "max_modulus_on_circle", lambda c, grid: (next(values), 0.0))
+
+
+@pytest.mark.parametrize("criterion", sorted(FALSIFICATION_CASES))
+def test_falsification_is_flagged_reported_and_logged(
+    cli, tmp_path, monkeypatch, capsys, caplog, criterion
+):
+    files, argv, suprema, exit_code, stdout, event, message = FALSIFICATION_CASES[criterion]
+    forced_suprema(monkeypatch, cli.criteria, suprema)
+    f = write_json(tmp_path / "f.json", files[0])
+    g = write_json(tmp_path / "g.json", files[1])
+    out = tmp_path / "report.json"
+    with caplog.at_level("ERROR", logger="pvalent.criteria"):
+        code = cli.main(["check", str(f), str(g), *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        exit_code, stdout, f"FALSIFICATION EVENT: {event}\n"
+    )
+    doc = json.loads(out.read_text())
+    assert doc["verdict"]["holds"] is False
+    assert doc["verdict"]["falsification"] is True
+    assert doc["verdict"]["notes"] == [FALSIFICATION_NOTE]
+    # only membership reports carry a top-level falsification field
+    assert doc.get("falsification") is (True if criterion.startswith("member-") else None)
+    records = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+    assert records == [("pvalent.criteria", "ERROR", message)]
+
+
+@pytest.mark.parametrize("criterion", ["thm211", "member-n", "member-m"])
+def test_failed_conclusion_without_its_hypothesis_is_no_falsification(
+    cli, tmp_path, monkeypatch, capsys, caplog, criterion
+):
+    # every supremum large: the transfer hypothesis fails; f far from g: the
+    # sum criterion fails, so a failed membership implies nothing
+    forced_suprema(monkeypatch, cli.criteria, [1e9, 1e9])
+    f = write_json(tmp_path / "f.json", {"p": 1, "n": 1, "coefficients": [[100.0, 0.0]]})
+    out = tmp_path / "report.json"
+    with caplog.at_level("ERROR", logger="pvalent.criteria"):
+        code = cli.main(
+            ["check", str(f), str(f), "--criterion", criterion, "--delta", "1",
+             "--beta", "0.5", "--out", str(out)]
+        )
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert "falsification" not in captured.out and "sum criterion holds" not in captured.out
+    doc = json.loads(out.read_text())
+    assert doc["verdict"]["holds"] is False and doc["verdict"]["falsification"] is False
+    assert doc.get("falsification") in (False, None)
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--beta", "0.5", "--alpha", "1.0", "--phi", "0"], "0 <= alpha < beta <= pi"),
+        (["--beta", "pi*0.5", "--phi", "0.5"], "alignment arg(d_k)=k*phi fails at index k=1"),
+        (["--beta", "pi*0.5", "--phi", "0"], "membership hypothesis fails"),
+    ],
+    ids=["angles", "alignment", "membership"],
+)
+def test_failed_necessity_hypothesis_exits_three(cli, tmp_path, capsys, argv, message):
+    # the pair of the forced nec-* falsifications, unpatched: its supremum,
+    # about 200, is far above delta = 2
+    f = write_json(tmp_path / "f.json", NECESSITY_FILES[0])
+    g = write_json(tmp_path / "g.json", NECESSITY_FILES[1])
+    for criterion in ("nec-n", "nec-m"):
+        code = cli.main(["check", str(f), str(g), "--criterion", criterion, "--delta", "2", *argv])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN == 3
+        assert captured.err.startswith("error: ") and message in captured.err, captured.err

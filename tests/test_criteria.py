@@ -20,6 +20,7 @@ from pvalent import (
     MultivalentFunction,
     NeighborhoodParams,
     OperatorParams,
+    blend_derivative_normalized,
     blend_derivative_weight,
     delta_lower_bound_m,
     delta_lower_bound_n,
@@ -38,7 +39,7 @@ from pvalent import (
     threshold_n,
     transfer_check,
 )
-from pvalent import series
+from pvalent import criteria, harness, series
 from pvalent.criteria import (
     DERIVATIVE,
     MAX_TRUNC,
@@ -699,6 +700,120 @@ def test_necessary_specialization_matches_reduced_form():
     assert abs(v.lhs - reduced_lhs) < 1e-12
     assert abs(v.threshold - (2.0 + math.cos(beta) - 1.0)) < 1e-14
     assert v.holds
+
+
+def test_necessary_n_holds_on_seeded_aligned_pairs():
+    """Derivative-side necessity on 200 seeded aligned pairs with p <= 4, m < p.
+
+    Each pair has d_k = r_k e^{ik phi} with r_k comparable to |b_k|, so the
+    stored coefficients keep arg d_k = k phi within the default tolerance,
+    and 0 <= alpha < beta <= pi.  delta sits above the 2^18-point oracle's
+    supremum of the twisted images plus its sampling loss (pi d/2^18)^2/2,
+    so membership holds and a failed bound would be a falsification.  The
+    value side waits for its own lead constant (README, Known issues).
+    """
+    rng = np.random.default_rng(20261019)
+    grid = 2**18
+    for trial in range(200):
+        p = int(rng.integers(1, 5))
+        m = int(rng.integers(0, p))
+        n = int(rng.integers(1, 4))
+        trunc = int(rng.integers(n, 13))
+        spec = InstanceSpec(p=p, n=n, m=m, omega=int(rng.integers(0, 3)),
+                            lam=float(rng.uniform(0.0, 1.0)), trunc=trunc, seed=trial)
+        alpha, beta = sorted(rng.uniform(0.0, math.pi, 2).tolist())
+        phi = float(rng.uniform(-math.pi, math.pi))
+        count = trunc - n + 1
+        b = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * 0.5
+        r = np.abs(b) * rng.uniform(0.5, 2.0, count)
+        d = r * np.exp(1j * phi * np.arange(n, trunc + 1))
+        f, g, _ = harness._instance(spec, alpha, beta, b, d, 1.0)
+        op = spec.operator
+        twisted = (
+            cmath.exp(1j * alpha) * blend_derivative_normalized(f, op).dense_coefficients()
+            - cmath.exp(1j * beta) * blend_derivative_normalized(g, op).dense_coefficients()
+        )
+        loss = (math.pi * trunc / grid) ** 2 / 2
+        nb = NeighborhoodParams(alpha, beta, harness.sup_oracle(twisted, grid) * (1.0 + loss))
+        v = necessary_n(f, g, op, nb, ArgAlignment(phi=phi))
+        assert v.holds and not v.falsification, (trial, spec, v)
+
+
+FALSIFICATION_NOTE = "falsification: hypotheses verified but the guaranteed conclusion failed"
+
+
+def _force_suprema(monkeypatch, suprema):
+    """Make the checks' boundary suprema read `suprema`, one per call, in order."""
+    values = iter(suprema)
+    monkeypatch.setattr(criteria, "max_modulus_on_circle", lambda c, grid: (next(values), 0.0))
+
+
+def test_library_verdicts_flag_falsifications(monkeypatch, caplog):
+    caplog.set_level("ERROR", logger="pvalent.criteria")
+    op = plain_op()
+
+    # aligned along phi = 0 with a weighted sum far above delta - 1, at supremum 0
+    f, g = MultivalentFunction(1, 1, (100.0,)), MultivalentFunction(1, 1)
+    nb = NeighborhoodParams(0.0, math.pi / 2, 2.0)
+    for check, label, lhs in ((necessary_n, "derivative-side", 200.0),
+                              (necessary_m, "value-side", 100.0)):
+        _force_suprema(monkeypatch, [0.0])
+        caplog.clear()
+        v = check(f, g, op, nb, ArgAlignment(phi=0.0))
+        assert (v.holds, v.lhs, v.falsification, v.notes) == (
+            False, lhs, True, (FALSIFICATION_NOTE,)
+        )
+        assert [r.getMessage() for r in caplog.records] == [
+            f"FALSIFICATION: {label} necessity bound failed with verified hypotheses "
+            f"(lhs={lhs!r}, threshold={v.threshold!r})"
+        ]
+
+    # f = g: the transfer hypothesis and the sum criterion hold whatever the suprema
+    e = MultivalentFunction(1, 1, (0.5, 0.25))
+    same = NeighborhoodParams(0.0, 0.0, 1.0)
+    _force_suprema(monkeypatch, [0.0, 1e9])
+    caplog.clear()
+    pair = transfer_check(e, e, op, same)
+    assert pair.hypothesis.holds and not pair.hypothesis.falsification
+    assert pair.falsification and pair.conclusion.falsification
+    assert pair.conclusion.notes == (FALSIFICATION_NOTE,)
+    assert [r.getMessage() for r in caplog.records] == [
+        "FALSIFICATION: transfer conclusion failed although the hypothesis held "
+        "(hypothesis lhs=0.0 < 2.0, conclusion lhs=1000000000.0 >= 1.0)"
+    ]
+    for family, member in ((DERIVATIVE, membership_n), (VALUE, membership_m)):
+        _force_suprema(monkeypatch, [1.0, 1.0])
+        caplog.clear()
+        v, suff = membership_with_sum(family, e, e, op, same)
+        assert suff.holds and not suff.falsification and suff.notes == ()
+        assert (v.holds, v.falsification, v.notes) == (False, True, (FALSIFICATION_NOTE,))
+        assert repr(member(e, e, op, same)) == repr(v)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"FALSIFICATION: {family.label} membership failed although its sufficient "
+            "sum held (lhs=1.0, threshold=1.0)"
+        ] * 2
+
+
+def test_failed_conclusions_without_their_hypotheses_are_not_falsifications(
+    monkeypatch, caplog
+):
+    caplog.set_level("ERROR", logger="pvalent.criteria")
+    op = plain_op()
+    f, g = MultivalentFunction(1, 1, (100.0,)), MultivalentFunction(1, 1)
+    nb = NeighborhoodParams(0.0, 0.5, 1.0)
+    _force_suprema(monkeypatch, [1e9, 1e9])
+    pair = transfer_check(f, g, op, nb)
+    assert not pair.hypothesis.holds and not pair.conclusion.holds
+    assert not pair.falsification and not pair.conclusion.falsification
+    for family in (DERIVATIVE, VALUE):
+        _force_suprema(monkeypatch, [1e9])
+        v, suff = membership_with_sum(family, f, g, op, nb)
+        assert not suff.holds and not v.holds
+        assert not v.falsification and v.notes == ()
+    _force_suprema(monkeypatch, [1e9])
+    with pytest.raises(HypothesisViolationError, match="membership hypothesis fails"):
+        necessary_n(f, g, op, NeighborhoodParams(0.0, 0.5, 2.0), ArgAlignment(phi=0.0))
+    assert caplog.records == []
 
 
 # ---------------------------------------------------------------------------
