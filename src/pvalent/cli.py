@@ -438,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
         "at least 8 per unit of degree",
     )
     check_p.add_argument(
-        "--tolerance", type=float, default=1e-8, help="alignment tolerance in radians"
+        "--tolerance", type=float, default=criteria.ArgAlignment.tolerance,
+        help="alignment tolerance in radians",
     )
     check_p.add_argument("--out", type=Path)
     check_p.set_defaults(func=cmd_check)

@@ -605,10 +605,10 @@ def telescoping_partner(
     derivative-side sufficient sum equals (n+p-1)(delta-T)/((k+p)(k+p-1)) and
     the truncated sum is (n+p-1)(delta-T)[1/(n+p-1) - 1/(trunc+p)].
 
-    The factorial ratio (k+p-m)!/(k+p-1)! is k+p for m = 0 and
-    1/falling_factorial(k+p-1, m-1) for m >= 1, so each coefficient costs
-    O(m + omega) small-integer products and the whole partner O(trunc).  The
-    rational core is one exact integer division, rounded once.  Every such
+    Each core is one exact rational, (n+p-1)/((k+p)(k+p-1)) divided by the
+    derivative-side weight (k+p-m) W(k) without its blend factor, which is why
+    each weighted term telescopes; it costs O(m + omega) small-integer products,
+    so the whole partner costs O(trunc), and it is rounded once.  Every such
     ratio is at most ((p-m)/(n+p-m))^omega, so when omega exceeds
     1075 / log2((n+p-m)/(p-m)) each one rounds to +0.0; the core is then
     0.0 without any exact power being formed, which gives the same bytes
@@ -640,14 +640,10 @@ def telescoping_partner(
     for k, b in zip(range(n, trunc + 1), bs):
         core = 0.0
         if not underflows:
-            den = (k + p - m) ** (op.omega + 1) * (k + p) ** 2 * (k + p - 1)
-            if m == 0:
-                num = scale * (k + p)
-            else:
-                num = scale
-                den *= falling_factorial(k + p - 1, m - 1)
+            kp = k + p
+            den = falling_factorial(kp, m) * (kp - m) ** (op.omega + 1) * kp * (kp - 1)
             # exact integer division rounds once; the two float operations after it once each
-            core = (num / den) * excess / (1.0 + op.lam * k / base)
+            core = (scale / den) * excess / (1.0 + op.lam * k / base)
         coeffs.append(core * phase + twist * b)
     return MultivalentFunction(p, n, tuple(coeffs))
 
@@ -656,7 +652,7 @@ def partner_weighted_sum(
     p: int, n: int, m: int, delta: float, alpha: float, beta: float, trunc: int
 ) -> float:
     """Closed form of the partner's derivative-side sufficient sum up to `trunc`."""
-    radical = delta_lower_bound_n(p, m, alpha, beta)
+    radical = DERIVATIVE.bound(p, m, alpha, beta)
     return (n + p - 1) * (delta - radical) * (1.0 / (n + p - 1) - 1.0 / (trunc + p))
 
 

@@ -72,12 +72,7 @@ class InstanceSpec:
     def __post_init__(self):
         if self.p < 1 or self.n < 1:
             raise DomainError("p and n must be >= 1")
-        if not 0 <= self.m < self.p:
-            raise DomainError(f"need 0 <= m < p, got m={self.m}, p={self.p}")
-        if self.omega < 0:
-            raise DomainError("omega must be >= 0")
-        if not 0.0 <= self.lam <= 1.0:
-            raise DomainError("lam must lie in [0, 1]")
+        self.operator.require_valence(self.p)
         if self.trunc < self.n:
             raise DomainError(f"trunc={self.trunc} must be >= n={self.n}")
         if not self.coeff_magnitude > 0:
@@ -509,11 +504,9 @@ def _suite_alignment_equality(rng) -> dict | None:
     f = MultivalentFunction(spec.p, spec.n, tuple(a))
     g = MultivalentFunction(spec.p, spec.n, tuple(b))
     op = spec.operator
-    delta = criteria.delta_lower_bound_n(spec.p, spec.m, alpha, beta) + float(
-        rng2.uniform(0.05, 2.0)
-    )
+    delta = criteria.DERIVATIVE.bound(spec.p, spec.m, alpha, beta) + float(rng2.uniform(0.05, 2.0))
     nb = NeighborhoodParams(alpha, beta, delta)
-    align = criteria.ArgAlignment(tolerance=1e-8)
+    align = criteria.ArgAlignment()
     for plain, modulus in (
         (criteria.sufficient_n(f, g, op, nb), criteria.sufficient_n_modulus(f, g, op, nb, align)),
         (criteria.sufficient_m(f, g, op, nb), criteria.sufficient_m_modulus(f, g, op, nb, align)),

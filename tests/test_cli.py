@@ -276,9 +276,11 @@ def test_huge_omega_is_a_domain_error_without_exact_powers(tmp_path):
         assert result.stderr.startswith("error: operator weight overflows a float")
 
 
-def test_construct_huge_omega_skips_underflowing_powers(tmp_path):
-    # every partner ratio is at most 2^-Omega here, so it rounds to +0.0 without exact powers
-    doc = {"p": 2, "n": 1, "m": 1, "Omega": 10**30, "coefficients": [[0.1, 0.0], [0.2, 0.0]]}
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1)], ids=["p-m=1", "p-m=2"])
+def test_construct_huge_omega_skips_underflowing_powers(tmp_path, p, m):
+    # every partner ratio is at most ((p-m)/(p-m+1))^Omega here, so it rounds to +0.0;
+    # at p - m = 2 an eagerly formed (p-m)^Omega would never finish
+    doc = {"p": p, "n": 1, "m": m, "Omega": 10**30, "coefficients": [[0.1, 0.0], [0.2, 0.0]]}
     src = write_json(tmp_path / "g.json", doc)
     result = run_cli("construct", src, "--delta", "1.0", "-K", "4", timeout=5)
     assert result.returncode == 0, result.stderr

@@ -50,6 +50,10 @@ def test_instance_spec_validation():
         InstanceSpec(p=2, n=2, m=0, omega=0, lam=0.0, trunc=1)
     with pytest.raises(DomainError):
         InstanceSpec(p=2, n=1, m=0, omega=0, lam=2.0, trunc=3)
+    # the operator's own rules: m and omega are integers, never bools
+    for m, omega in ((0.5, 0), (True, 0), (0, 1.5), (0, True)):
+        with pytest.raises(DomainError):
+            InstanceSpec(p=2, n=1, m=m, omega=omega, lam=0.0, trunc=3)
 
 
 def test_generate_pair_is_deterministic():
