@@ -30,7 +30,6 @@ SAMPLES_PER_DEGREE = 8
 EVAL_CHUNK = 1 << 16
 
 _EPS = float(np.finfo(float).eps)
-_TWO_PI = 2.0 * math.pi
 
 
 def _gamma(k: int) -> float:
@@ -149,7 +148,7 @@ def max_modulus_on_circle(coeffs, grid: int = DEFAULT_GRID) -> tuple[float, floa
     n = grid
     while n < SAMPLES_PER_DEGREE * degree:
         n *= 2
-    step = _TWO_PI / n
+    step = math.tau / n
     # fft(conj c)[j] = conj p(e^{2 pi i j/n}); n > degree, so nothing folds
     vals = np.abs(np.fft.fft(np.conj(c), n))
     raw_best = int(np.argmax(vals))
@@ -171,7 +170,7 @@ def max_modulus_on_circle(coeffs, grid: int = DEFAULT_GRID) -> tuple[float, floa
         mod = np.abs(p)
         top = int(np.argmax(mod))
         if mod[top] > best:
-            best, theta = float(mod[top]), float(x[top] % _TWO_PI)
+            best, theta = float(mod[top]), float(x[top] % math.tau)
         t0 = mod * mod
         t1 = 2.0 * (p.real * dp.real + p.imag * dp.imag)
         t2 = 2.0 * (dp.real**2 + dp.imag**2 + p.real * d2p.real + p.imag * d2p.imag)

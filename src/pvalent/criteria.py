@@ -41,6 +41,9 @@ from .series import (
     NeighborhoodParams,
     OperatorParams,
     _image_tail,
+    _require_finite_float,
+    _require_int,
+    _require_valence,
     _weighted_products,
     blend_derivative_normalized,
     blend_derivative_weight,
@@ -123,10 +126,10 @@ class ArgAlignment:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise DomainError("phi must be finite")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
-            raise DomainError("tolerance must be a nonnegative finite number")
+        object.__setattr__(self, "phi", _require_finite_float(self.phi, "phi"))
+        object.__setattr__(self, "tolerance", _require_finite_float(self.tolerance, "tolerance"))
+        if self.tolerance < 0.0:
+            raise DomainError(f"tolerance must be nonnegative, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -159,10 +162,7 @@ class Family:
 
     def bound(self, p: int, m: int, alpha: float, beta: float) -> float:
         """Admissibility bound p!/(p-m-order)! sqrt(2[1-cos(alpha-beta)])."""
-        if m < 0:
-            raise DomainError(f"derivative order m must be >= 0, got {m}")
-        if p <= m:
-            raise DomainError(f"valence p={p} must exceed derivative order m={m}")
+        _require_valence(p, m)
         return self.lead(p, m) * phase_gap_radical(alpha, beta)
 
     def weights(self, ks: range, p: int, op: OperatorParams) -> np.ndarray:
@@ -485,8 +485,8 @@ def _require_aligned(hypothesis: str, ks: range, tolerance: float, angle, target
     gaps not within the tolerance less a slack; the candidates are judged in
     index order, so the index and the message are those of a loop over every k."""
     with np.errstate(invalid="ignore", over="ignore"):
-        w = np.fmod(angle - target + math.pi, 2.0 * math.pi)
-        gap = np.where(w < 0.0, w + 2.0 * math.pi, w) - math.pi
+        w = np.fmod(angle - target + math.pi, math.tau)
+        gap = np.where(w < 0.0, w + math.tau, w) - math.pi
         within = np.abs(gap) <= tolerance - _ALIGN_SLACK * (4.0 + np.abs(target))
     for i in np.flatnonzero(mask & ~within).tolist():
         gap = gap_at(i)
@@ -528,7 +528,7 @@ def _necessary(
         np.arctan2(im, re), kphi, (re != 0.0) | (im != 0.0),
         lambda i: wrap_angle(cmath.phase(complex(re[i], im[i])) - ks[i] * align.phi),
     )
-    _admitted_bound(family, f, g, op, nb)
+    _require_admissible(nb.delta, family.bound(f.p, op.m, nb.alpha, nb.beta), family.label)
     notes = family.notes(nb, f.p, op.m)
     w = _weights(family, f, g, op)
     sup = max_modulus_on_circle(phase_difference(family, f, op, nb, w, diffs), grid)[0]
@@ -618,7 +618,7 @@ def telescoping_partner(
     p, n, m = g.p, g.n, op.m
     radical = DERIVATIVE.bound(p, m, nb.alpha, nb.beta)
     _require_admissible(nb.delta, radical, "construction")
-    trunc = int(trunc)
+    trunc = _require_int(trunc, "trunc")
     if trunc < n:
         raise DomainError(f"truncation order {trunc} must be at least n={n}")
     if trunc > MAX_TRUNC:

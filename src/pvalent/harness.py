@@ -31,6 +31,7 @@ from .series import (
     NeighborhoodParams,
     OperatorParams,
     TruncatedSeries,
+    _require_int,
     blend_derivative_normalized,
     blend_derivative_weight,
     blend_weight,
@@ -70,6 +71,8 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("p", "n", "trunc", "seed"):
+            object.__setattr__(self, name, _require_int(getattr(self, name), name))
         if self.p < 1 or self.n < 1:
             raise DomainError("p and n must be >= 1")
         self.operator.require_valence(self.p)
@@ -83,7 +86,7 @@ class InstanceSpec:
         return OperatorParams(lam=self.lam, m=self.m, omega=self.omega)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "seed": int(self.seed)}
+        return asdict(self)
 
 
 def _rng_for(seed: int, *path: int) -> np.random.Generator:

@@ -38,8 +38,6 @@ from .errors import DomainError
 COEFF_ABS_TOL = 1e-10
 COEFF_REL_TOL = 1e-9
 
-_TWO_PI = 2.0 * math.pi
-
 
 def complex_close(x: complex, y: complex) -> bool:
     """Coefficientwise equality at the package-wide tolerance."""
@@ -50,9 +48,9 @@ def wrap_angle(theta: float) -> float:
     """Reduce an angle to the interval [-pi, pi); a non-finite angle is a DomainError."""
     if not math.isfinite(theta):
         raise DomainError(f"angle must be finite, got {theta!r}")
-    w = math.fmod(theta + math.pi, _TWO_PI)
+    w = math.fmod(theta + math.pi, math.tau)
     if w < 0.0:
-        w += _TWO_PI
+        w += math.tau
     return w - math.pi
 
 
@@ -87,6 +85,14 @@ def _require_finite_float(value, name: str) -> float:
     if not math.isfinite(out):
         raise DomainError(f"{name} must be finite, got {out!r}")
     return out
+
+
+def _require_valence(p: int, m: int) -> None:
+    """0 <= m < p: the operator and both families exist only for m below the valence."""
+    if m < 0:
+        raise DomainError(f"derivative order m must be >= 0, got {m}")
+    if p <= m:
+        raise DomainError(f"operator needs p > m, got p={p}, m={m}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +172,7 @@ class OperatorParams:
             raise DomainError(f"iteration count omega must be >= 0, got {self.omega}")
 
     def require_valence(self, p: int) -> None:
-        if p <= self.m:
-            raise DomainError(f"operator needs p > m, got p={p}, m={self.m}")
+        _require_valence(p, self.m)
 
 
 @dataclass(frozen=True)
@@ -284,9 +289,8 @@ def _weight_pass(ks: range, p: int, params: OperatorParams, derivative: bool) ->
     DomainError, never an OverflowError or an infinite weight.
     """
     m, omega, lam = params.m, params.omega, params.lam
+    _require_valence(p, m)
     base = p - m
-    if base < 1:
-        raise DomainError(f"operator weights need p > m, got p={p}, m={m}")
     if ks:
         _require_float_weight(ks[-1], p, m, omega)
     den = base**omega
@@ -371,9 +375,8 @@ def exact_blend_weight(k: int, p: int, params: OperatorParams) -> Fraction:
     exceeds 1025, so that no float holds the weight, it raises the
     DomainError `blend_weight` raises, before any power is formed.
     """
+    _require_valence(p, params.m)
     base = p - params.m
-    if base < 1:
-        raise DomainError(f"exact_blend_weight needs p > m, got p={p}, m={params.m}")
     _require_float_weight(k, p, params.m, params.omega)
     core = Fraction(
         falling_factorial(k + p, params.m) * (k + p - params.m) ** params.omega,
@@ -398,10 +401,7 @@ def mth_derivative(f: MultivalentFunction, m: int) -> TruncatedSeries:
     Rejects m >= p (the leading term would vanish or blow up).
     """
     m = _require_int(m, "m")
-    if m < 0:
-        raise DomainError(f"derivative order must be >= 0, got {m}")
-    if m >= f.p:
-        raise DomainError(f"derivative order m={m} must be below the valence p={f.p}")
+    _require_valence(f.p, m)
     lead = float(falling_factorial(f.p, m))
     tail = tuple(
         (k + f.p - m, falling_factorial(k + f.p, m) * f.coefficient(k))
@@ -420,9 +420,8 @@ def salagean_iterate(s: TruncatedSeries, order: int, p: int, m: int) -> Truncate
     order = _require_int(order, "order")
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
+    _require_valence(p, m)
     base = p - m
-    if base < 1:
-        raise DomainError(f"salagean_iterate needs p > m, got p={p}, m={m}")
     if s.lead_exp != base:
         raise DomainError(
             f"series has leading exponent {s.lead_exp}, expected p - m = {base}"
@@ -458,9 +457,8 @@ def _image_tail(w: np.ndarray, c: np.ndarray, start: int) -> np.ndarray:
 def _image_series(
     f: MultivalentFunction, params: OperatorParams, order: int, shift: int
 ) -> TruncatedSeries:
-    """z^shift times the order-th derivative of f's blended image over
-    z^{p-m-order}, built unvalidated: p!/(p-m-order)! at exponent `shift`."""
-    params.require_valence(f.p)
+    """z^shift times the order-th derivative of f's blended image over z^{p-m-order},
+    built unvalidated past the weight pass's valence rule: p!/(p-m-order)! at `shift`."""
     w = _weight_pass(f.support(), f.p, params, derivative=bool(order))
     start = f.n + shift
     c = np.array(f.coeffs, dtype=np.complex128)

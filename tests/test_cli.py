@@ -441,6 +441,22 @@ def test_construct_preserves_real_positive_coefficients(tmp_path):
         assert re > 0.0 and im == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["apply"], ["check", "--criterion", "suff-n", "--delta", "2"], ["construct", "--delta", "2", "-K", "3"]],
+    ids=["apply", "check", "construct"],
+)
+def test_valence_violation_reads_the_same_in_every_command(cli, tmp_path, capsys, argv):
+    # a file with m = p = 2 meets the one valence rule, whichever command reads it
+    f = str(write_json(tmp_path / "f.json", {**BLEND_FILE, "m": 2}))
+    command, *options = argv
+    files = [f, f] if command == "check" else [f]
+    code = cli.main([command, *files, *options])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DOMAIN == 3
+    assert captured.err == "error: operator needs p > m, got p=2, m=2\n"
+
+
 # ---------------------------------------------------------------------------
 # suite
 # ---------------------------------------------------------------------------
@@ -1165,3 +1181,30 @@ def test_failed_necessity_hypothesis_exits_three(cli, tmp_path, capsys, argv, me
         captured = capsys.readouterr()
         assert code == cli.EXIT_DOMAIN == 3
         assert captured.err.startswith("error: ") and message in captured.err, captured.err
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+# ---------------------------------------------------------------------------
+
+
+def test_cli_imports_only_declared_dependencies():
+    # importing the CLI loads no top-level module from outside the standard
+    # library but pvalent and pyproject's dependencies; modules already loaded
+    # before the import (site hooks) and private ones (numpy's
+    # _sysconfigdata_*) do not count
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import pvalent.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(added - set(sys.stdlib_module_names))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    added = {name for name in json.loads(result.stdout) if not name.startswith("_")}
+    assert added <= {"pvalent", "numpy", "orjson"}, added

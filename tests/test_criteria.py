@@ -85,6 +85,49 @@ def test_threshold_rejects_bad_orders():
         threshold_m(1.0, 0.0, 0.0, 2, -1)
 
 
+_PAIR = MultivalentFunction(2, 1, (0.1, 0.2j))
+_WIDE = NeighborhoodParams(0.0, 0.5, 50.0)
+
+#: every public entry point taking (p, m), called at p = 2 with derivative order m
+_VALENCE_ENTRIES = {
+    "require_valence": lambda m: OperatorParams(m=m).require_valence(2),
+    "blend_weight": lambda m: series.blend_weight(1, 2, OperatorParams(m=m)),
+    "blend_derivative_weight": lambda m: blend_derivative_weight(1, 2, OperatorParams(m=m)),
+    "exact_blend_weight": lambda m: series.exact_blend_weight(1, 2, OperatorParams(m=m)),
+    "exact_blend_derivative_weight": lambda m: series.exact_blend_derivative_weight(
+        1, 2, OperatorParams(m=m)
+    ),
+    "salagean_blend": lambda m: series.salagean_blend(_PAIR, OperatorParams(m=m)),
+    "blend_normalized": lambda m: blend_normalized(_PAIR, OperatorParams(m=m)),
+    "blend_derivative_normalized": lambda m: blend_derivative_normalized(_PAIR, OperatorParams(m=m)),
+    "mth_derivative": lambda m: series.mth_derivative(_PAIR, m),
+    "salagean_iterate": lambda m: series.salagean_iterate(series.TruncatedSeries(0, 1.0), 1, 2, m),
+    "delta_lower_bound_n": lambda m: delta_lower_bound_n(2, m, 0.0, 0.5),
+    "delta_lower_bound_m": lambda m: delta_lower_bound_m(2, m, 0.0, 0.5),
+    "sufficient_n": lambda m: sufficient_n(_PAIR, _PAIR, OperatorParams(m=m), _WIDE),
+    "membership_m": lambda m: membership_m(_PAIR, _PAIR, OperatorParams(m=m), _WIDE),
+    "transfer_check": lambda m: transfer_check(_PAIR, _PAIR, OperatorParams(m=m), _WIDE),
+    "telescoping_partner": lambda m: telescoping_partner(_PAIR, OperatorParams(m=m), _WIDE, 4),
+}
+#: the entry points that take m raw rather than through OperatorParams
+_RAW_M_ENTRIES = ("mth_derivative", "salagean_iterate", "delta_lower_bound_n", "delta_lower_bound_m")
+
+
+@pytest.mark.parametrize(
+    "entry, m", [(name, 2) for name in _VALENCE_ENTRIES] + [(name, -1) for name in _RAW_M_ENTRIES]
+)
+def test_valence_rule_has_one_message(entry, m):
+    """0 <= m < p is stated once, so every entry point rejects m = p = 2 (and a
+    raw m = -1) with the same DomainError text."""
+    expected = {
+        2: "operator needs p > m, got p=2, m=2",
+        -1: "derivative order m must be >= 0, got -1",
+    }[m]
+    with pytest.raises(DomainError) as info:
+        _VALENCE_ENTRIES[entry](m)
+    assert str(info.value) == expected
+
+
 def test_negative_thresholds_are_permitted():
     assert threshold_n(0.1, 0.0, math.pi, 1, 0) < 0.0
 
@@ -248,6 +291,15 @@ def test_each_check_forms_one_weight_vector_per_family(monkeypatch):
 # ---------------------------------------------------------------------------
 # modulus (aligned) forms
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"phi": None}, {"phi": "x"}, {"phi": math.nan}, {"tolerance": None},
+               {"tolerance": math.inf}, {"tolerance": -1e-9}],
+)
+def test_arg_alignment_rejects_bad_fields(kwargs):
+    with pytest.raises(DomainError):
+        ArgAlignment(**kwargs)
 
 
 def test_modulus_identity_under_alignment():
@@ -962,6 +1014,10 @@ def test_partner_rejects_bad_truncation():
         telescoping_partner(g, plain_op(), nb, 1)  # below n
     with pytest.raises(DomainError):
         telescoping_partner(g, plain_op(), nb, 2)  # below g's truncation order
+    # trunc is an integer, never truncated from a float, a string or a bool
+    for trunc in (5.7, "4", True):
+        with pytest.raises(DomainError, match="trunc must be an integer"):
+            telescoping_partner(MultivalentFunction(1, 1), plain_op(), nb, trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,11 @@ def test_instance_spec_validation():
     for m, omega in ((0.5, 0), (True, 0), (0, 1.5), (0, True)):
         with pytest.raises(DomainError):
             InstanceSpec(p=2, n=1, m=m, omega=omega, lam=0.0, trunc=3)
+    # and so are p, n, trunc and seed, checked when the spec is built
+    valid = dict(p=2, n=1, m=0, omega=0, lam=0.0, trunc=3)
+    for name, value in (("p", 2.5), ("n", 1.5), ("trunc", 3.5), ("seed", 1.5), ("p", True)):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            InstanceSpec(**{**valid, name: value})
 
 
 def test_generate_pair_is_deterministic():
