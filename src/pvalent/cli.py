@@ -22,9 +22,10 @@ past the float range) is scanned entry by entry, to name the first bad
 index.  A file that orjson rejects, that may nest too deep for it, that has
 other keys or that fails a check is loaded again by the ``json`` route,
 which gives every error its message; a file that loads has the same bits by
-either route.  Output is built as one string per stream and written once;
-``construct`` formats the partner without the pure-Python ``json`` indent
-encoder, byte for byte as ``json.dumps(doc, indent=2)`` would.
+either route.  The output of ``apply``, ``construct`` and ``suite`` is built
+as one string per stream and written once; ``construct`` formats the
+partner without the pure-Python ``json`` indent encoder, byte for byte as
+``json.dumps(doc, indent=2)`` would.
 
 Exit codes: 0 the checked statement holds (or the command succeeded),
 1 it fails, 2 usage or parse error (including an unreadable function file

@@ -24,13 +24,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import criteria
-from .circlemax import DEFAULT_GRID, max_modulus_on_circle
+from .circlemax import max_modulus_on_circle
 from .errors import DomainError, FalsificationError
 from .series import (
     MultivalentFunction,
     NeighborhoodParams,
     OperatorParams,
     TruncatedSeries,
+    _require_finite_float,
     _require_int,
     blend_derivative_normalized,
     blend_derivative_weight,
@@ -78,7 +79,9 @@ class InstanceSpec:
         self.operator.require_valence(self.p)
         if self.trunc < self.n:
             raise DomainError(f"trunc={self.trunc} must be >= n={self.n}")
-        if not self.coeff_magnitude > 0:
+        magnitude = _require_finite_float(self.coeff_magnitude, "coeff_magnitude")
+        object.__setattr__(self, "coeff_magnitude", magnitude)
+        if magnitude <= 0.0:
             raise DomainError("coeff_magnitude must be positive")
 
     @property
@@ -248,21 +251,17 @@ class LemmaWitness:
     q: complex
 
 
-def lemma_witness(
-    w_coeffs,
-    n_w: int,
-    r0: float,
-    grid: int = 1 << 16,
-    tolerance: float = LEMMA_TOL,
-) -> LemmaWitness:
+def lemma_witness(w_coeffs, n_w: int, r0: float) -> LemmaWitness:
     """Locate the max-modulus point of w on |z| = r0 and check the ratio there.
 
     `w_coeffs` are ascending from z^0; the first `n_w` must vanish exactly
     (w(0) = 0 to order >= n_w >= 1).  At the located maximiser z0 the ratio
-    q = z0 w'(z0)/w(z0) must be real with Re q >= n_w, up to `tolerance`;
+    q = z0 w'(z0)/w(z0) must be real with Re q >= n_w, up to `LEMMA_TOL`;
     a violation raises FalsificationError.
     """
     coeffs = tuple(complex(c) for c in w_coeffs)
+    n_w = _require_int(n_w, "n_w")
+    r0 = _require_finite_float(r0, "r0")
     if n_w < 1:
         raise DomainError(f"vanishing order must be >= 1, got {n_w}")
     if not 0.0 < r0 < 1.0:
@@ -274,19 +273,19 @@ def lemma_witness(
 
     # w(r0 e^{it}) = sum c_e r0^e e^{iet}: scale coefficients, reuse unit circle
     scaled = [c * r0**e for e, c in enumerate(coeffs)]
-    value, theta = max_modulus_on_circle(np.asarray(scaled), grid)
+    value, theta = max_modulus_on_circle(np.asarray(scaled))
     z0 = r0 * cmath.exp(1j * theta)
     w0 = polyval(coeffs, z0)
     if w0 == 0:
         raise DomainError("located maximiser has zero modulus; w vanishes on the circle")
     w1 = polyval([e * c for e, c in enumerate(coeffs)][1:], z0)
     q = z0 * w1 / w0
-    if abs(q.imag) > tolerance or q.real < n_w - tolerance:
+    if abs(q.imag) > LEMMA_TOL or q.real < n_w - LEMMA_TOL:
         raise FalsificationError(
             f"max-modulus ratio violates the lemma at z0={z0!r}: q={q!r}, "
-            f"expected real with Re q >= {n_w} (tolerance {tolerance!r})"
+            f"expected real with Re q >= {n_w} (tolerance {LEMMA_TOL!r})"
         )
-    return LemmaWitness(coeffs, n_w, float(r0), z0, value, q)
+    return LemmaWitness(coeffs, n_w, r0, z0, value, q)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +438,7 @@ def _suite_rotation_invariance(rng) -> dict | None:
     op = spec.operator
     t = float(rng.uniform(-math.pi, math.pi))
     shifted = NeighborhoodParams(nb.alpha + t, nb.beta + t, nb.delta)
-    grid = 1024
+    grid = 1024  # coarser than the default on purpose: each trial takes eight suprema
 
     def verdicts(params):
         pair = criteria.transfer_check(f, g, op, params, grid)
@@ -471,7 +470,7 @@ def _implication_trial(rng, target: str) -> dict | None:
     f, g, nb = generate_pair(spec, target)
     op = spec.operator
     family = criteria.DERIVATIVE if target == "inside_sufficient_n" else criteria.VALUE
-    member, suff = criteria.membership_with_sum(family, f, g, op, nb, DEFAULT_GRID)
+    member, suff = criteria.membership_with_sum(family, f, g, op, nb)
     if suff.holds and member.holds:
         return None
     return {
@@ -581,7 +580,7 @@ def _suite_thm_2_11_implication(rng) -> dict | None:
     """Forced transfer hypotheses always carry the value-side conclusion."""
     spec = _draw_spec(rng)
     f, g, nb = generate_transfer_pair(spec)
-    result = criteria.transfer_check(f, g, spec.operator, nb, DEFAULT_GRID)
+    result = criteria.transfer_check(f, g, spec.operator, nb)
     if result.hypothesis.holds and result.conclusion.holds:
         return None
     return {
@@ -600,7 +599,7 @@ def _suite_oracle_agreement(rng) -> dict | None:
         c[0] = 1.0
         scale = 1.0
     c = c / scale  # keeps the boundary modulus at most 1, so 1e-6 is meaningful
-    produced = max_modulus_on_circle(c, DEFAULT_GRID)[0]
+    produced = max_modulus_on_circle(c)[0]
     sampled = sup_oracle(c, 1 << 18)
     if abs(produced - sampled) <= SUP_COMPARE_TOL:
         return None
@@ -622,7 +621,7 @@ def _suite_lemma_max_modulus(rng) -> dict | None:
         coeffs[n_w] = 1.0 + 0j
     r0 = float(rng.uniform(0.3, 0.9))
     try:
-        lemma_witness(coeffs, n_w, r0, grid=1 << 16)
+        lemma_witness(coeffs, n_w, r0)
     except FalsificationError as exc:
         return {"coeffs": _complex_list(coeffs), "n_w": n_w, "r0": r0, "error": str(exc)}
     return None
@@ -659,8 +658,6 @@ SUITES = {
     "thm_2_11_implication": _suite_thm_2_11_implication,
     "oracle_agreement": _suite_oracle_agreement,
     "lemma_max_modulus": _suite_lemma_max_modulus,
-    # the same trial as thm_2_1_implication, kept as an alias of it
-    "generator_soundness": _suite_thm_2_1_implication,
     "determinism": _suite_determinism,
 }
 
@@ -716,6 +713,8 @@ def run_property_suite(suite: str, trials: int, seed: int = 0) -> SuiteReport:
     """
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
+    trials = _require_int(trials, "trials")
+    seed = _require_int(seed, "seed")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     fn = SUITES[suite]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,10 +79,12 @@ def _require_int(value, name: str) -> int:
 
 
 def _require_finite_float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
         out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real number, got {value!r}") from exc
+    except OverflowError:  # an integer or Fraction past the float range
+        out = math.inf
     if not math.isfinite(out):
         raise DomainError(f"{name} must be finite, got {out!r}")
     return out
@@ -420,6 +423,8 @@ def salagean_iterate(s: TruncatedSeries, order: int, p: int, m: int) -> Truncate
     order = _require_int(order, "order")
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
+    p = _require_int(p, "p")
+    m = _require_int(m, "m")
     _require_valence(p, m)
     base = p - m
     if s.lead_exp != base:

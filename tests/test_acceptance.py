@@ -206,7 +206,7 @@ def test_acceptance_6_max_modulus_lemma():
         )
         if all(c == 0 for c in coeffs):
             coeffs[n_w] = 1.0 + 0j
-        witness = lemma_witness(coeffs, n_w, float(rng.uniform(0.3, 0.9)), grid=1 << 16)
+        witness = lemma_witness(coeffs, n_w, float(rng.uniform(0.3, 0.9)))
         worst_imag = max(worst_imag, abs(witness.q.imag))
         worst_slack = min(worst_slack, witness.q.real - n_w)
         assert abs(witness.q.imag) <= 1e-6

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pvalent import DomainError, max_modulus_on_circle, sup_oracle
-from pvalent.circlemax import MAX_GRID, _curvature_bound
+from pvalent.circlemax import MAX_GRID, _bracket_centers, _curvature_bound
 
 ORACLE_POINTS = 1 << 20
 
@@ -195,6 +195,16 @@ def test_tiny_variation_is_not_flat():
     value, theta = max_modulus_on_circle(np.array([1.0, 1e-9]))
     assert abs(value - (1.0 + 1e-9)) <= 1e-15 * (1.0 + 1e-9)
     assert min(theta, 2 * math.pi - theta) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "values, centers",
+    [([5.0, 1.0, 2.0, 1.0, 5.0], [4, 2]), ([5.0, 5.0, 1.0, 2.0, 1.0, 5.0], [5, 3])],
+)
+def test_plateau_across_the_seam_gives_one_center(values, centers):
+    # the plateau runs from the last sample on to the first: one bracket, not two
+    values = np.array(values)
+    assert _bracket_centers(values, np.ones(values.size, bool)).tolist() == centers
 
 
 def _family(kind: str, degree: int, rng) -> np.ndarray:

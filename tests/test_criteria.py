@@ -295,7 +295,8 @@ def test_each_check_forms_one_weight_vector_per_family(monkeypatch):
 
 @pytest.mark.parametrize(
     "kwargs", [{"phi": None}, {"phi": "x"}, {"phi": math.nan}, {"tolerance": None},
-               {"tolerance": math.inf}, {"tolerance": -1e-9}],
+               {"tolerance": math.inf}, {"tolerance": -1e-9}, {"phi": "1.5"}, {"phi": True},
+               {"tolerance": False}, {"tolerance": 10**400}],
 )
 def test_arg_alignment_rejects_bad_fields(kwargs):
     with pytest.raises(DomainError):

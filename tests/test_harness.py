@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from pvalent import (
     sufficient_n,
     transfer_check,
 )
+from pvalent import criteria, harness
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,6 +63,10 @@ def test_instance_spec_validation():
     for name, value in (("p", 2.5), ("n", 1.5), ("trunc", 3.5), ("seed", 1.5), ("p", True)):
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
             InstanceSpec(**{**valid, name: value})
+    # coeff_magnitude is a finite positive real number
+    for value in (math.inf, math.nan, "1", True, 0.0, -1.0):
+        with pytest.raises(DomainError, match="coeff_magnitude must be"):
+            InstanceSpec(**valid, coeff_magnitude=value)
 
 
 def test_generate_pair_is_deterministic():
@@ -189,6 +197,10 @@ def test_lemma_rejects_bad_inputs():
         lemma_witness([0.0, 1.0], 1, 1.5)  # radius outside (0, 1)
     with pytest.raises(DomainError):
         lemma_witness([0.0, 1.0], 0, 0.5)  # order below 1
+    # the order is an integer and the radius a finite real number
+    for n_w, r0 in ((1.5, 0.5), (True, 0.5), (1, "0.5"), (1, True), (1, math.nan)):
+        with pytest.raises(DomainError):
+            lemma_witness([0.0, 0.0, 1.0], n_w, r0)
 
 
 def test_lemma_random_batch():
@@ -198,16 +210,17 @@ def test_lemma_random_batch():
         upper = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         coeffs = [0j] * n_w + list(upper)
         r0 = float(rng.uniform(0.3, 0.9))
-        w = lemma_witness(coeffs, n_w, r0, grid=1 << 14)
+        w = lemma_witness(coeffs, n_w, r0)
         assert abs(w.q.imag) <= 1e-6
         assert w.q.real >= n_w - 1e-6
 
 
-def test_lemma_detects_violation_with_hostile_tolerance():
+def test_lemma_detects_violation_with_hostile_tolerance(monkeypatch):
     # impossible requirement Re q >= n_w for a lower-order zero: the checker
     # must raise rather than return a witness
+    monkeypatch.setattr(harness, "LEMMA_TOL", -5.0)
     with pytest.raises(FalsificationError):
-        lemma_witness([0.0, 1.0, 0.0], 1, 0.5, tolerance=-5.0)
+        lemma_witness([0.0, 1.0, 0.0], 1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +236,10 @@ def test_unknown_suite_rejected():
 def test_zero_trials_rejected():
     with pytest.raises(DomainError):
         run_property_suite("determinism", 0)
+    # trials and seed are integers, never bools
+    for trials, seed in ((2.5, 0), (True, 0), (1, 1.5), (1, "1")):
+        with pytest.raises(DomainError, match="must be an integer"):
+            run_property_suite("determinism", trials, seed)
 
 
 def test_report_is_deterministic():
@@ -238,6 +255,73 @@ def test_every_suite_passes_smoke():
         report = run_property_suite(name, 3, seed=2)
         assert report.failures == 0, (name, report.first_counterexample)
         assert report.passes == 3
+
+
+_FAILED = criteria.Verdict(False, 1.0, 0.0)
+
+
+def _never(*args):
+    return False
+
+
+def _drifting_generate_pair(monkeypatch):
+    """generate_pair whose delta grows by one on every call."""
+    real = harness.generate_pair
+    calls = itertools.count()
+
+    def drifting(spec, target="unconstrained"):
+        f, g, nb = real(spec, target)
+        return f, g, NeighborhoodParams(nb.alpha, nb.beta, nb.delta + next(calls))
+
+    monkeypatch.setattr(harness, "generate_pair", drifting)
+
+
+#: One patch per suite that makes every trial of it report a counterexample.
+FORCED_FAILURES = {
+    "salagean_first_order": lambda mp: mp.setattr(harness, "_series_equal", _never),
+    "salagean_semigroup": lambda mp: mp.setattr(harness, "_series_equal", _never),
+    "blend_linearity": lambda mp: mp.setattr(harness, "complex_close", _never),
+    "blend_derivative_consistency": lambda mp: mp.setattr(harness, "_series_equal", _never),
+    "weight_exactness": lambda mp: mp.setattr(harness, "exact_blend_weight", lambda *a: Fraction(0)),
+    "rotation_invariance": lambda mp: mp.setattr(harness, "_rel_close", _never),
+    "thm_2_1_implication": lambda mp: mp.setattr(
+        criteria, "membership_with_sum", lambda *a: (_FAILED, _FAILED)
+    ),
+    "thm_2_4_implication": lambda mp: mp.setattr(
+        criteria, "membership_with_sum", lambda *a: (_FAILED, _FAILED)
+    ),
+    "alignment_equality": lambda mp: mp.setattr(harness, "_rel_close", _never),
+    "telescoping_closed_form": lambda mp: mp.setattr(
+        harness, "Fraction", lambda num=0, den=1: Fraction(num, den + 1)
+    ),
+    "sum_monotonicity": lambda mp: mp.setattr(
+        criteria, "sufficient_n", lambda f, *a: criteria.Verdict(True, -len(f.coeffs), 0.0)
+    ),
+    "specialization_weights": lambda mp: mp.setattr(
+        harness, "blend_derivative_weight", lambda *a: -1.0
+    ),
+    "thm_2_11_implication": lambda mp: mp.setattr(
+        criteria, "transfer_check", lambda *a: criteria.ImplicationPair(_FAILED, _FAILED)
+    ),
+    "oracle_agreement": lambda mp: mp.setattr(harness, "sup_oracle", lambda *a: 10.0),
+    "lemma_max_modulus": lambda mp: mp.setattr(harness, "LEMMA_TOL", -5.0),
+    "determinism": _drifting_generate_pair,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_reports_a_forced_failure(name, monkeypatch):
+    # a suite added without a forced failure here fails this test
+    assert set(FORCED_FAILURES) == set(SUITES)
+    FORCED_FAILURES[name](monkeypatch)
+    report = run_property_suite(name, 2, seed=3)
+    assert report.failures == 2 and report.passes == 0
+    counterexample = report.first_counterexample
+    assert counterexample["trial"] == 0
+    json.dumps(report.to_document())
+    summary = report.text_summary()
+    assert "result   : FAIL" in summary
+    assert f"first counterexample: {counterexample}" in summary
 
 
 def test_membership_oracle_not_fooled_by_failed_instances():

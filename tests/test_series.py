@@ -107,6 +107,25 @@ def test_operator_params_validation():
     OperatorParams(lam=0.5, m=1, omega=3).require_valence(2)
     with pytest.raises(DomainError):
         OperatorParams(m=2).require_valence(2)
+    # lam is a real number: never a bool or a string
+    for lam in (True, "0.5", None, 1j):
+        with pytest.raises(DomainError, match="lam must be a real number"):
+            OperatorParams(lam=lam)
+    for lam in (Fraction(1, 2), np.float32(0.5), np.float64(0.5)):
+        assert OperatorParams(lam=lam).lam == 0.5
+
+
+def test_neighborhood_params_validation():
+    for args in (("0.1", 0.0, 2.0), (0.1, True, 2.0), (0.1, 0.0, "2"), (0.1, 0.0, 0.0)):
+        with pytest.raises(DomainError):
+            NeighborhoodParams(*args)
+    # an integer or fraction past the float range is not finite
+    for big in (10**400, Fraction(10**400, 3), math.inf):
+        with pytest.raises(DomainError, match="delta must be finite"):
+            NeighborhoodParams(0, 0, big)
+    nb = NeighborhoodParams(Fraction(1, 4), np.float32(0.5), 2)
+    assert (nb.alpha, nb.beta, nb.delta) == (0.25, 0.5, 2.0)
+    assert all(type(x) is float for x in (nb.alpha, nb.beta, nb.delta))
 
 
 def test_wrap_angle_rejects_a_non_finite_angle():
@@ -184,6 +203,11 @@ def test_iterate_rejects_mismatched_lead():
     s = mth_derivative(MultivalentFunction(3, 1, (1.0,)), 1)
     with pytest.raises(DomainError):
         salagean_iterate(s, 1, 3, 2)
+    # p and m are integers: 2.5 - 0.5 matches the lead exponent 2 but is no valence pair
+    s = TruncatedSeries(2, 1.0, ((3, 0.5),))
+    for p, m in ((2.5, 0.5), (2.0, 0), (2, True)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            salagean_iterate(s, 1, p, m)
 
 
 @settings(max_examples=60, deadline=None)
