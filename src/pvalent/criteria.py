@@ -19,10 +19,12 @@ family there is
   arguments aligned along k*phi and 0 <= alpha < beta <= pi.
 
 The ``_n``/``_m`` entry points are one-line calls into one body per kind of
-check.  One rule, `_decide`, gives every verdict: sums use <=, suprema strict
-<.  When a check whose hypotheses were verified numerically fails its
-guaranteed conclusion, the verdict is marked as a falsification event and
-logged loudly; that always means an implementation or tolerance defect.
+check, reading one `_Pair`: the twisted coefficient differences of (f, g),
+each family's weights over them and the sum and supremum they give.  One
+rule, `_decide`, gives every verdict: sums use <=, suprema strict <.  When a
+check whose hypotheses were verified numerically fails its guaranteed
+conclusion, the verdict is marked as a falsification event and logged
+loudly; that always means an implementation or tolerance defect.
 """
 
 from __future__ import annotations
@@ -217,17 +219,6 @@ def threshold_m(delta: float, alpha: float, beta: float, p: int, m: int) -> floa
     return delta - delta_lower_bound_m(p, m, alpha, beta)
 
 
-def _require_compatible(
-    f: MultivalentFunction, g: MultivalentFunction, op: OperatorParams
-) -> None:
-    """The pair shares (p, n) and the operator needs p > m."""
-    if f.p != g.p or f.n != g.n:
-        raise DomainError(
-            f"functions must share (p, n); got ({f.p}, {f.n}) and ({g.p}, {g.n})"
-        )
-    op.require_valence(f.p)
-
-
 def _admissible(delta: float, bound: float) -> bool:
     """delta exceeds `bound` by more than `ADMISSIBILITY_MARGIN`."""
     return delta > bound + ADMISSIBILITY_MARGIN
@@ -240,56 +231,66 @@ def _require_admissible(delta: float, bound: float, label: str) -> None:
         )
 
 
-def _admitted_bound(
-    family: Family,
-    f: MultivalentFunction,
-    g: MultivalentFunction,
-    op: OperatorParams,
-    nb: NeighborhoodParams,
-) -> float:
-    """Check the pair, the operator and delta against `family`; return its bound."""
-    _require_compatible(f, g, op)
-    bound = family.bound(f.p, op.m, nb.alpha, nb.beta)
-    _require_admissible(nb.delta, bound, family.label)
-    return bound
-
-
 # ---------------------------------------------------------------------------
 # coefficient sums
 # ---------------------------------------------------------------------------
 
 
-def _indices(f: MultivalentFunction, g: MultivalentFunction) -> range:
-    """Perturbation indices k over the union of the two supports."""
-    return range(f.n, max(f.truncation_order, g.truncation_order) + 1)
+class _Pair:
+    """One pair (f, g) under (op, nb), the input every check reads: the indices
+    `ks` over the union of the two supports, a_{k+p} and b_{k+p} over them (the
+    shorter list zero-extended) and the real and imaginary parts of the twisted
+    differences d_k = e^{i alpha} a_{k+p} - e^{i beta} b_{k+p}, which no family
+    changes.  The parts are formed from separate real multiplies and
+    subtractions in CPython's order for complex products, so they carry the bits
+    of ua * a - ub * b; numpy's complex multiply may fuse the steps into FMAs.
+    Each family's weights are formed on first use and kept."""
 
+    def __init__(
+        self,
+        f: MultivalentFunction,
+        g: MultivalentFunction,
+        op: OperatorParams,
+        nb: NeighborhoodParams,
+    ):
+        if f.p != g.p or f.n != g.n:
+            raise DomainError(
+                f"functions must share (p, n); got ({f.p}, {f.n}) and ({g.p}, {g.n})"
+            )
+        op.require_valence(f.p)
+        self.p, self.n, self.op, self.nb = f.p, f.n, op, nb
+        self.ks = range(f.n, max(f.truncation_order, g.truncation_order) + 1)
+        ua = cmath.exp(1j * nb.alpha)
+        ub = cmath.exp(1j * nb.beta)
+        self.a = a = np.zeros(len(self.ks), dtype=np.complex128)
+        self.b = b = np.zeros(len(self.ks), dtype=np.complex128)
+        a[: len(f.coeffs)] = f.coeffs
+        b[: len(g.coeffs)] = g.coeffs
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.re = (ua.real * a.real - ua.imag * a.imag) - (ub.real * b.real - ub.imag * b.imag)
+            self.im = (ua.real * a.imag + ua.imag * a.real) - (ub.real * b.imag + ub.imag * b.real)
+        self._weights: dict[Family, np.ndarray] = {}
 
-def _differences(
-    f: MultivalentFunction, g: MultivalentFunction, nb: NeighborhoodParams
-) -> tuple[np.ndarray, ...]:
-    """Over `_indices(f, g)`: a_{k+p} and b_{k+p} (the shorter list zero-extended)
-    and the real and imaginary parts of d_k = e^{i alpha} a_{k+p} - e^{i beta} b_{k+p},
-    which no family changes.  The parts are formed from separate real multiplies
-    and subtractions in CPython's order for complex products, so they carry the bits
-    of ua * a - ub * b; numpy's complex multiply may fuse the steps into FMAs."""
-    ua = cmath.exp(1j * nb.alpha)
-    ub = cmath.exp(1j * nb.beta)
-    size = len(_indices(f, g))
-    a = np.zeros(size, dtype=np.complex128)
-    b = np.zeros(size, dtype=np.complex128)
-    a[: len(f.coeffs)] = f.coeffs
-    b[: len(g.coeffs)] = g.coeffs
-    with np.errstate(over="ignore", invalid="ignore"):
-        re = (ua.real * a.real - ua.imag * a.imag) - (ub.real * b.real - ub.imag * b.imag)
-        im = (ua.real * a.imag + ua.imag * a.real) - (ub.real * b.imag + ub.imag * b.real)
-    return a, b, re, im
+    def admitted(self, family: Family) -> float:
+        """Check delta against `family`'s admissibility bound; return the bound."""
+        bound = family.bound(self.p, self.op.m, self.nb.alpha, self.nb.beta)
+        _require_admissible(self.nb.delta, bound, family.label)
+        return bound
 
+    def weights(self, family: Family) -> np.ndarray:
+        """The family's weights w_k over `ks`, from one weight pass."""
+        w = self._weights.get(family)
+        if w is None:
+            w = self._weights[family] = family.weights(self.ks, self.p, self.op)
+        return w
 
-def _weights(
-    family: Family, f: MultivalentFunction, g: MultivalentFunction, op: OperatorParams
-) -> np.ndarray:
-    """The family's weights w_k over `_indices(f, g)`, from one weight pass."""
-    return family.weights(_indices(f, g), f.p, op)
+    def sum(self, family: Family) -> float:
+        """The family's weighted sum sum_k w_k |d_k|."""
+        return _weighted_sum(self.weights(family), self.re, self.im)
+
+    def sup(self, family: Family, grid: int) -> float:
+        """The boundary supremum of the family's twisted difference, at `grid`."""
+        return max_modulus_on_circle(phase_difference(family, self), grid)[0]
 
 
 def _weighted_sum(weights, re, im=0.0) -> float:
@@ -314,21 +315,21 @@ def _sufficient(
     modulus form sum_k w_k ||a_{k+p}| - |b_{k+p}||, which requires
     arg a_{k+p} - arg b_{k+p} = beta - alpha wherever both are nonzero.  A modulus
     past the float range reads inf (a difference of two such, nan): the sum fails."""
-    bound = _admitted_bound(family, f, g, op, nb)
+    pair = _Pair(f, g, op, nb)
+    bound = pair.admitted(family)
     notes = family.notes(nb, f.p, op.m)
-    a, b, re, im = _differences(f, g, nb)
-    if align is not None:
-        expected = nb.beta - nb.alpha
-        _require_aligned(
-            "argument alignment arg(a)-arg(b)=beta-alpha", _indices(f, g), align.tolerance,
-            np.arctan2(a.imag, a.real) - np.arctan2(b.imag, b.real), expected,
-            (a != 0) & (b != 0),
-            lambda i: wrap_angle(cmath.phase(a[i]) - cmath.phase(b[i]) - expected),
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            re, im = np.hypot(a.real, a.imag) - np.hypot(b.real, b.imag), 0.0
-    lhs = _weighted_sum(_weights(family, f, g, op), re, im)
-    return _decide(lhs, nb.delta - bound, False, notes)
+    if align is None:
+        return _decide(pair.sum(family), nb.delta - bound, False, notes)
+    a, b, expected = pair.a, pair.b, nb.beta - nb.alpha
+    _require_aligned(
+        "argument alignment arg(a)-arg(b)=beta-alpha", pair.ks, align.tolerance,
+        np.arctan2(a.imag, a.real) - np.arctan2(b.imag, b.real), expected,
+        (a != 0) & (b != 0),
+        lambda i: wrap_angle(cmath.phase(a[i]) - cmath.phase(b[i]) - expected),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        moduli = np.hypot(a.real, a.imag) - np.hypot(b.real, b.imag)
+    return _decide(_weighted_sum(pair.weights(family), moduli), nb.delta - bound, False, notes)
 
 
 def sufficient_n(
@@ -388,27 +389,20 @@ def sufficient_m_modulus(
 # ---------------------------------------------------------------------------
 
 
-def phase_difference(
-    family: Family,
-    f: MultivalentFunction,
-    op: OperatorParams,
-    nb: NeighborhoodParams,
-    w: np.ndarray,
-    diffs: tuple[np.ndarray, ...],
-) -> np.ndarray:
+def phase_difference(family: Family, pair: _Pair) -> np.ndarray:
     """Dense e^{i alpha} P_f - e^{i beta} P_g for the family's images P, from the
-    pair's weights `w` and `_differences`: lead (e^{i alpha} - e^{i beta}),
+    pair's weights w and differences d: lead (e^{i alpha} - e^{i beta}),
     lead = p!/(p-m-order)!, at index 0 and w_k d_k at index k, each with the bits
     of that Python expression on any CPU.  The image products w_k a_{k+p} and
     w_k b_{k+p} are formed only to check that they are finite: one past the
     float range is the DomainError the image would raise.  Not exported; the
     benchmark's tracer times it under this name."""
-    a, b, re, im = diffs
-    _image_tail(w, a, f.n)
-    _image_tail(w, b, f.n)
-    out = np.zeros(f.n + w.size, dtype=np.complex128)
-    out[0] = family.lead(f.p, op.m) * (cmath.exp(1j * nb.alpha) - cmath.exp(1j * nb.beta))
-    out[f.n :] = _weighted_products(w, re, im)
+    w, n, nb = pair.weights(family), pair.n, pair.nb
+    _image_tail(w, pair.a, n)
+    _image_tail(w, pair.b, n)
+    out = np.zeros(n + w.size, dtype=np.complex128)
+    out[0] = family.lead(pair.p, pair.op.m) * (cmath.exp(1j * nb.alpha) - cmath.exp(1j * nb.beta))
+    out[n:] = _weighted_products(w, pair.re, pair.im)
     return out
 
 
@@ -425,12 +419,11 @@ def membership_with_sum(
     the pair that `sufficient_*` and `membership_*` return apart, with the
     same bytes and the same errors in the same order.  The sum implies
     membership: a failed membership whose sum holds is a falsification."""
-    bound = _admitted_bound(family, f, g, op, nb)
+    pair = _Pair(f, g, op, nb)
+    bound = pair.admitted(family)
     notes = family.notes(nb, f.p, op.m)
-    w = _weights(family, f, g, op)
-    _, _, re, im = diffs = _differences(f, g, nb)
-    sup = max_modulus_on_circle(phase_difference(family, f, op, nb, w, diffs), grid)[0]
-    suff = _decide(_weighted_sum(w, re, im), nb.delta - bound, False, notes)
+    sup = pair.sup(family, grid)
+    suff = _decide(pair.sum(family), nb.delta - bound, False, notes)
     falsified = suff.holds and (
         f"{family.label} membership failed although its sufficient sum held "
         "(lhs=%r, threshold=%r)"
@@ -513,14 +506,13 @@ def _necessary(
     alignment and (at `grid`) membership are verified first, so a failed
     bound is a falsification.
     """
-    _require_compatible(f, g, op)
+    pair = _Pair(f, g, op, nb)
     if not (0.0 <= nb.alpha < nb.beta <= math.pi):
         raise HypothesisViolationError(
             "necessity bounds require 0 <= alpha < beta <= pi; "
             f"got alpha={nb.alpha!r}, beta={nb.beta!r}"
         )
-    _, _, re, im = diffs = _differences(f, g, nb)
-    ks = _indices(f, g)
+    ks, re, im = pair.ks, pair.re, pair.im
     with np.errstate(over="ignore"):
         kphi = np.arange(ks.start, ks.stop, dtype=np.float64) * align.phi
     _require_aligned(
@@ -528,10 +520,9 @@ def _necessary(
         np.arctan2(im, re), kphi, (re != 0.0) | (im != 0.0),
         lambda i: wrap_angle(cmath.phase(complex(re[i], im[i])) - ks[i] * align.phi),
     )
-    _require_admissible(nb.delta, family.bound(f.p, op.m, nb.alpha, nb.beta), family.label)
+    pair.admitted(family)
     notes = family.notes(nb, f.p, op.m)
-    w = _weights(family, f, g, op)
-    sup = max_modulus_on_circle(phase_difference(family, f, op, nb, w, diffs), grid)[0]
+    sup = pair.sup(family, grid)
     if not _decide(sup, nb.delta, True).holds:
         raise HypothesisViolationError(
             "membership hypothesis fails: boundary supremum "
@@ -539,7 +530,7 @@ def _necessary(
         )
     thr = nb.delta - DERIVATIVE.lead(f.p, op.m) * (math.cos(nb.alpha) - math.cos(nb.beta))
     return _decide(
-        _weighted_sum(w, re, im), thr, False, notes,
+        pair.sum(family), thr, False, notes,
         f"{family.label} necessity bound failed with verified hypotheses "
         "(lhs=%r, threshold=%r)",
     )
@@ -679,20 +670,17 @@ def transfer_check(
     hypothesis holds the conclusion is guaranteed; a violation is marked as a
     falsification event on the conclusion verdict.
     """
-    _require_compatible(f, g, op)
+    pair = _Pair(f, g, op, nb)
     p, n, m = f.p, f.n, op.m
     radical_n = DERIVATIVE.bound(p, m, nb.alpha, nb.beta)
     _require_admissible(nb.delta, radical_n / (p + n - m), "transfer")
 
     hyp_thr = nb.delta * (p + n - m) - radical_n
-    diffs = _differences(f, g, nb)
-    w = _weights(DERIVATIVE, f, g, op)
-    hyp_lhs = max_modulus_on_circle(phase_difference(DERIVATIVE, f, op, nb, w, diffs), grid)[0]
+    hyp_lhs = pair.sup(DERIVATIVE, grid)
     hypothesis = _decide(hyp_lhs, hyp_thr, True)
 
     con_thr = nb.delta + VALUE.bound(p, m, nb.alpha, nb.beta)
-    w = _weights(VALUE, f, g, op)
-    con_lhs = max_modulus_on_circle(phase_difference(VALUE, f, op, nb, w, diffs), grid)[0]
+    con_lhs = pair.sup(VALUE, grid)
     falsified = hypothesis.holds and (
         "transfer conclusion failed although the hypothesis held "
         f"(hypothesis lhs={hyp_lhs!r} < {hyp_thr!r}, conclusion lhs=%r >= %r)"

@@ -31,6 +31,7 @@ from .series import (
     NeighborhoodParams,
     OperatorParams,
     TruncatedSeries,
+    _complex_values,
     _require_finite_float,
     _require_int,
     blend_derivative_normalized,
@@ -259,7 +260,7 @@ def lemma_witness(w_coeffs, n_w: int, r0: float) -> LemmaWitness:
     q = z0 w'(z0)/w(z0) must be real with Re q >= n_w, up to `LEMMA_TOL`;
     a violation raises FalsificationError.
     """
-    coeffs = tuple(complex(c) for c in w_coeffs)
+    coeffs = _complex_values(w_coeffs, "w coefficient")
     n_w = _require_int(n_w, "n_w")
     r0 = _require_finite_float(r0, "r0")
     if n_w < 1:
@@ -711,7 +712,7 @@ def run_property_suite(suite: str, trials: int, seed: int = 0) -> SuiteReport:
     Trials are keyed on (seed, trial index), so the report is a pure function
     of its arguments.  The first counterexample is serialized in full.
     """
-    if suite not in SUITES:
+    if not isinstance(suite, str) or suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
     trials = _require_int(trials, "trials")
     seed = _require_int(seed, "seed")

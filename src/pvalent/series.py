@@ -90,6 +90,22 @@ def _require_finite_float(value, name: str) -> float:
     return out
 
 
+def _complex_values(values, name: str) -> tuple[complex, ...]:
+    """`values` as Python complexes.  Each must be a number (`numbers.Complex`:
+    numpy scalars and fractions too), never a bool; the rule is checked once
+    per distinct type, so a long list of one type costs one pass.  Any other
+    entry, or one past the float range, is a DomainError."""
+    values = tuple(values)
+    bad = {t for t in set(map(type, values)) if t is bool or not issubclass(t, numbers.Complex)}
+    if bad:
+        first = next(v for v in values if type(v) in bad)
+        raise DomainError(f"{name} must be a complex number, got {first!r}")
+    try:
+        return tuple(map(complex, values))
+    except OverflowError:  # an integer or fraction past the float range
+        raise DomainError(f"{name} is not finite") from None
+
+
 def _require_valence(p: int, m: int) -> None:
     """0 <= m < p: the operator and both families exist only for m below the valence."""
     if m < 0:
@@ -118,7 +134,7 @@ class MultivalentFunction:
             raise DomainError(f"valence p must be >= 1, got {self.p}")
         if self.n < 1:
             raise DomainError(f"starting index n must be >= 1, got {self.n}")
-        coeffs = tuple(map(complex, self.coeffs))
+        coeffs = _complex_values(self.coeffs, "coefficient")
         # any inf or nan makes the sum non-finite, and so can finite entries
         # summing past the float range: only then look entry by entry
         if not cmath.isfinite(sum(coeffs)):
@@ -216,15 +232,15 @@ class TruncatedSeries:
         object.__setattr__(self, "lead_exp", _require_int(self.lead_exp, "lead_exp"))
         if self.lead_exp < 0:
             raise DomainError(f"lead_exp must be >= 0, got {self.lead_exp}")
-        lead = complex(self.lead_coeff)
+        (lead,) = _complex_values((self.lead_coeff,), "lead_coeff")
         if not cmath.isfinite(lead):
             raise DomainError("lead_coeff is not finite")
         object.__setattr__(self, "lead_coeff", lead)
         tail = []
         prev = self.lead_exp
-        for e, c in self.tail:
+        coeffs = _complex_values([c for _, c in self.tail], "tail coefficient")
+        for (e, _), c in zip(self.tail, coeffs):
             e = _require_int(e, "tail exponent")
-            c = complex(c)
             if e <= prev:
                 raise DomainError(f"tail exponents must increase strictly past {prev}, got {e}")
             if not cmath.isfinite(c):

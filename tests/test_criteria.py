@@ -46,8 +46,7 @@ from pvalent.criteria import (
     MAX_TRUNC,
     VALUE,
     _ALIGN_SLACK,
-    _differences,
-    _indices,
+    _Pair,
     _weighted_sum,
     membership_with_sum,
 )
@@ -256,36 +255,89 @@ def test_membership_with_sum_is_the_separate_pair_bit_for_bit():
 
 
 def test_each_check_forms_one_weight_vector_per_family(monkeypatch):
-    calls = []
+    """Each check forms one weight vector per family it reads, and the suprema
+    it needs: none for a sum, one for membership and necessity, two for the
+    transfer."""
+    calls, sups = [], []
     weight_pass = series._weight_pass
+    sup = criteria.max_modulus_on_circle
 
     def counted(*args, **kwargs):
         calls.append(kwargs["derivative"])
         return weight_pass(*args, **kwargs)
 
+    def counted_sup(*args, **kwargs):
+        sups.append(args[0].size)
+        return sup(*args, **kwargs)
+
     monkeypatch.setattr(series, "_weight_pass", counted)
+    monkeypatch.setattr(criteria, "max_modulus_on_circle", counted_sup)
     # 0.01 at k = 1, 0.02 at k = 3: aligned along phi = 0 at alpha = 0
     f = MultivalentFunction(2, 1, (0.01, 0.0, 0.02))
     g = MultivalentFunction(2, 1)
     op, align = OperatorParams(lam=0.4, m=1, omega=2), ArgAlignment(phi=0.0)
     nb = NeighborhoodParams(0.0, math.pi / 2, 40.0)
     checks = {
-        "sufficient_n": (lambda: sufficient_n(f, g, op, nb), 1),
-        "sufficient_m": (lambda: sufficient_m(f, g, op, nb), 1),
-        "sufficient_n_modulus": (lambda: sufficient_n_modulus(f, g, op, nb, align), 1),
-        "sufficient_m_modulus": (lambda: sufficient_m_modulus(f, g, op, nb, align), 1),
-        "membership_n": (lambda: membership_n(f, g, op, nb), 1),
-        "membership_m": (lambda: membership_m(f, g, op, nb), 1),
-        "membership_with_sum": (lambda: membership_with_sum(VALUE, f, g, op, nb), 1),
-        "necessary_n": (lambda: necessary_n(f, g, op, nb, align), 1),
-        "necessary_m": (lambda: necessary_m(f, g, op, nb, align), 1),
-        "transfer_check": (lambda: transfer_check(f, g, op, nb), 2),
+        "sufficient_n": (lambda: sufficient_n(f, g, op, nb), 1, 0),
+        "sufficient_m": (lambda: sufficient_m(f, g, op, nb), 1, 0),
+        "sufficient_n_modulus": (lambda: sufficient_n_modulus(f, g, op, nb, align), 1, 0),
+        "sufficient_m_modulus": (lambda: sufficient_m_modulus(f, g, op, nb, align), 1, 0),
+        "membership_n": (lambda: membership_n(f, g, op, nb), 1, 1),
+        "membership_m": (lambda: membership_m(f, g, op, nb), 1, 1),
+        "membership_with_sum": (lambda: membership_with_sum(VALUE, f, g, op, nb), 1, 1),
+        "necessary_n": (lambda: necessary_n(f, g, op, nb, align), 1, 1),
+        "necessary_m": (lambda: necessary_m(f, g, op, nb, align), 1, 1),
+        "transfer_check": (lambda: transfer_check(f, g, op, nb), 2, 2),
     }
-    for name, (check, expected) in checks.items():
+    for name, (check, weight_vectors, suprema) in checks.items():
         calls.clear()
+        sups.clear()
         check()
-        assert len(calls) == expected, name
+        assert len(calls) == weight_vectors, name
+        assert sups == [4] * suprema, name  # lead plus k = 1 .. 3
     assert sorted(calls) == [False, True]
+
+
+#: The nine public checks, each called as (f, g, op, nb, align).
+_PUBLIC_CHECKS = {
+    "sufficient_n": lambda f, g, op, nb, align: sufficient_n(f, g, op, nb),
+    "sufficient_m": lambda f, g, op, nb, align: sufficient_m(f, g, op, nb),
+    "sufficient_n_modulus": sufficient_n_modulus,
+    "sufficient_m_modulus": sufficient_m_modulus,
+    "membership_n": lambda f, g, op, nb, align: membership_n(f, g, op, nb),
+    "membership_m": lambda f, g, op, nb, align: membership_m(f, g, op, nb),
+    "necessary_n": necessary_n,
+    "necessary_m": necessary_m,
+    "transfer_check": lambda f, g, op, nb, align: transfer_check(f, g, op, nb),
+}
+
+
+@pytest.mark.parametrize("name", list(_PUBLIC_CHECKS))
+def test_two_fault_inputs_raise_the_first_fault_of_the_pinned_order(name):
+    """Each input carries two faults; the check raises the first in its order:
+    (p, n), then valence; for necessity the angle range, then alignment; then
+    admissibility; then a weight past the float range."""
+    check = _PUBLIC_CHECKS[name]
+    f, g = MultivalentFunction(2, 1, (0.1, 0.1, 0.1)), MultivalentFunction(2, 1)
+    op = OperatorParams(m=1, omega=600)  # W(3) = 4^600 overflows a float
+    align = ArgAlignment(phi=0.0)  # g = 0 and alpha = 0: d_k = 0.1 has arg 0
+    tight, loose = NeighborhoodParams(0.0, 1.0, 1e-9), NeighborhoodParams(0.0, 1.0, 1e9)
+    label = {"n": DERIVATIVE.label, "m": VALUE.label}.get(name.split("_")[1], "transfer")
+    with pytest.raises(InadmissibleDeltaError, match=f"the {label} lower bound"):
+        check(f, g, op, tight, align)
+    with pytest.raises(DomainError, match="operator weight overflows a float") as info:
+        check(f, g, op, loose, align)
+    assert type(info.value) is DomainError
+    with pytest.raises(DomainError, match=r"functions must share \(p, n\); got \(3, 1\)"):
+        check(MultivalentFunction(3, 1, (0.1,)), g, op, tight, align)
+    f1, g1 = MultivalentFunction(1, 2), MultivalentFunction(1, 1)
+    with pytest.raises(DomainError, match=r"functions must share \(p, n\); got \(1, 2\)"):
+        check(f1, g1, OperatorParams(m=3), tight, align)
+    if name.startswith("necessary"):
+        with pytest.raises(HypothesisViolationError, match="alignment .* at index k=1:"):
+            check(f, g, op, tight, ArgAlignment(phi=2.0))
+        with pytest.raises(HypothesisViolationError, match="require 0 <= alpha < beta <= pi"):
+            check(f, g, op, NeighborhoodParams(1.0, 0.5, 1e-9), ArgAlignment(phi=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +491,8 @@ def test_necessary_rejects_misalignment():
 
 def _alignment_failure_loop(f, g, nb, align):
     """Reference: the scalar alignment scan over every k, as its message or None."""
-    _, _, re, im = _differences(f, g, nb)
-    for k, x, y in zip(_indices(f, g), re.tolist(), im.tolist()):
+    pair = _Pair(f, g, plain_op(), nb)
+    for k, x, y in zip(pair.ks, pair.re.tolist(), pair.im.tolist()):
         d = complex(x, y)
         if d == 0:
             continue
@@ -499,8 +551,9 @@ def test_alignment_scan_matches_the_loop_within_ulps_of_the_tolerance(check):
     nb = NeighborhoodParams(0.0, 1.0, 9.0)
     for phi, k in ((0.7, 300), (-2.3, 1), (1e4, 257), (3.0, 512)):
         f = _aligned_function(phi, 512, {k: 3e-8})
-        _, _, re, im = _differences(f, g, nb)
-        gap = abs(series.wrap_angle(cmath.phase(complex(re[k - 1], im[k - 1])) - k * phi))
+        pair = _Pair(f, g, plain_op(), nb)
+        d = complex(pair.re[k - 1], pair.im[k - 1])
+        gap = abs(series.wrap_angle(cmath.phase(d) - k * phi))
         tolerances = [gap]
         for _ in range(3):
             tolerances = [math.nextafter(tolerances[0], 0.0), *tolerances]
@@ -544,7 +597,7 @@ def _modulus_loop(f, g, nb, align):
     over every k in order, raising at the first both-nonzero misaligned index."""
     expected = nb.beta - nb.alpha
     out = []
-    for k in _indices(f, g):
+    for k in _Pair(f, g, plain_op(), nb).ks:
         a = f.coefficient(k)
         b = g.coefficient(k)
         if a != 0 and b != 0:
@@ -571,7 +624,7 @@ def _modulus_outcomes(f, g, op, nb, align):
         if isinstance(moduli, str):
             expected = moduli
         else:
-            w = [float(x) for x in family.weights(_indices(f, g), f.p, op)]
+            w = _Pair(f, g, op, nb).weights(family).tolist()
             expected = math.fsum(x * abs(v) for x, v in zip(w, moduli)).hex()
         try:
             got = check(f, g, op, nb, align).lhs.hex()
@@ -626,7 +679,7 @@ def test_modulus_scan_bitwise_matches_the_loop_within_ulps_of_the_tolerance():
         nb = NeighborhoodParams(alpha, beta, 1e9)
         # the largest scalar gap: the loop fails below it and holds from it on
         gap = 0.0
-        for k in _indices(f, g):
+        for k in _Pair(f, g, op, nb).ks:
             x, y = f.coefficient(k), g.coefficient(k)
             if x != 0 and y != 0:
                 gap = max(gap, abs(series.wrap_angle(cmath.phase(x) - cmath.phase(y) - (beta - alpha))))
@@ -1139,13 +1192,14 @@ def _bits(values):
 def test_twisted_sums_bitwise_match_python_complex_arithmetic():
     for f, g, op in _sum_cases():
         for alpha, beta in ((0.3, 1.1), (0.0, math.pi), (-2.5, 0.25)):
-            _, _, re, im = _differences(f, g, NeighborhoodParams(alpha, beta, 1.0))
+            pair = _Pair(f, g, op, NeighborhoodParams(alpha, beta, 1.0))
+            re, im = pair.re.tolist(), pair.im.tolist()
             oracle = _python_twisted(f, g, alpha, beta)
-            assert _bits(complex(x, y) for x, y in zip(re.tolist(), im.tolist())) == _bits(oracle)
+            assert _bits(complex(x, y) for x, y in zip(re, im)) == _bits(oracle)
             for family in (DERIVATIVE, VALUE):
-                w = family.weights(_indices(f, g), f.p, op)
+                w = pair.weights(family)
                 expected = math.fsum(x * abs(v) for x, v in zip(w, oracle))
-                assert _weighted_sum(w, re, im).hex() == expected.hex()
-                moduli = [abs(f.coefficient(k)) - abs(g.coefficient(k)) for k in _indices(f, g)]
+                assert pair.sum(family).hex() == expected.hex()
+                moduli = [abs(f.coefficient(k)) - abs(g.coefficient(k)) for k in pair.ks]
                 expected = math.fsum(x * abs(v) for x, v in zip(w, moduli))
                 assert _weighted_sum(w, moduli).hex() == expected.hex()

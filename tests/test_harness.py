@@ -6,6 +6,7 @@ import cmath
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -201,6 +202,13 @@ def test_lemma_rejects_bad_inputs():
     for n_w, r0 in ((1.5, 0.5), (True, 0.5), (1, "0.5"), (1, True), (1, math.nan)):
         with pytest.raises(DomainError):
             lemma_witness([0.0, 0.0, 1.0], n_w, r0)
+    # every coefficient is a number, never a bool or a string
+    for bad in ("1", "x", None, True, [1.0]):
+        message = f"w coefficient must be a complex number, got {bad!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            lemma_witness([0.0, bad], 1, 0.5)
+    w = lemma_witness([0, Fraction(1, 2), np.float32(0.25)], 1, 0.5)
+    assert w.w_coeffs == (0j, 0.5 + 0j, 0.25 + 0j)
 
 
 def test_lemma_random_batch():
@@ -229,8 +237,10 @@ def test_lemma_detects_violation_with_hostile_tolerance(monkeypatch):
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(DomainError):
-        run_property_suite("no_such_suite", 5)
+    # an unhashable name is an unknown suite too, not a TypeError
+    for suite in ("no_such_suite", [1], {"a": 1}, None):
+        with pytest.raises(DomainError, match="unknown suite"):
+            run_property_suite(suite, 5)
 
 
 def test_zero_trials_rejected():

@@ -6,6 +6,7 @@ import cmath
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -37,7 +38,7 @@ from pvalent import (
     salagean_iterate,
     wrap_angle,
 )
-from pvalent.criteria import DERIVATIVE, VALUE, _differences, _weights, phase_difference
+from pvalent.criteria import DERIVATIVE, VALUE, _Pair, phase_difference
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -79,6 +80,17 @@ def test_function_validation():
         MultivalentFunction(1, 0)
     with pytest.raises(DomainError):
         MultivalentFunction(1, 1, (float("inf"),))
+    # a coefficient is a number (numpy scalars and fractions too), never a bool or a string
+    for bad in ("1", "x", None, True, np.bool_(False), (1.0,)):
+        message = f"coefficient must be a complex number, got {bad!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            MultivalentFunction(1, 1, (0.5, bad))
+    for huge in (10**400, Fraction(10**400, 3)):
+        with pytest.raises(DomainError, match="coefficient is not finite"):
+            MultivalentFunction(1, 1, (huge,))
+    coeffs = (Fraction(1, 2), np.float32(0.5), np.int64(3), np.complex128(1j), 2)
+    assert MultivalentFunction(1, 1, coeffs).coeffs == (0.5, 0.5, 3, 1j, 2)
+    assert all(type(c) is complex for c in MultivalentFunction(1, 1, coeffs).coeffs)
     f = MultivalentFunction(2, 3)
     assert f.truncation_order == 2  # empty list: K = n - 1
     assert f.coefficient(3) == 0j
@@ -92,6 +104,9 @@ def test_series_validation():
         TruncatedSeries(2, 1.0, ((2, 1.0),))  # tail exponent not past lead
     with pytest.raises(DomainError):
         TruncatedSeries(0, 1.0, ((2, 1.0), (2, 3.0)))
+    for lead, tail in (("1", ()), (True, ()), (1.0, ((2, None),)), (1.0, ((2, "1"),))):
+        with pytest.raises(DomainError, match="must be a complex number"):
+            TruncatedSeries(0, lead, tail)
     s = TruncatedSeries(1, 2.0, ((3, 1j),))
     assert s.max_exponent == 3
     assert list(s.dense_coefficients()) == [0j, 2.0 + 0j, 0j, 1j]
@@ -669,8 +684,7 @@ def test_difference_polynomial_bitwise_matches_python_expressions():
         for alpha, beta in ((0.3, 1.1), (0.0, math.pi), (-2.5, 0.25)):
             nb = NeighborhoodParams(alpha, beta, 1.0)
             for family in (DERIVATIVE, VALUE):
-                w, diffs = _weights(family, f, g, op), _differences(f, g, nb)
-                got = phase_difference(family, f, op, nb, w, diffs).tolist()
+                got = phase_difference(family, _Pair(f, g, op, nb)).tolist()
                 assert _complex_bits(got) == _complex_bits(
                     _python_difference(family, f, g, op, alpha, beta)
                 )
