@@ -3,8 +3,10 @@
 One FFT samples the boundary modulus on a coarse grid of at least eight
 points per unit of degree.  A curvature bound on T = |p|^2 discards every
 sample bracket that cannot hold the maximum, and a safeguarded Newton
-iteration on T' then refines the surviving brackets together, evaluating
-p, p' and p'' directly in one product per round.  A bracket leaves the
+iteration on T' then refines the surviving brackets: each round evaluates
+p, p' and p'' at every live bracket in one direct product, then steps each
+bracket in scalar float arithmetic (numpy's fixed cost per array operation
+outweighs the work on a handful of brackets).  A bracket leaves the
 iteration once its Newton step is below 1e-10 or once its curvature bound
 falls below the best value found.  For polynomial data the boundary
 maximum equals the supremum over the open disk (maximum-modulus
@@ -85,23 +87,28 @@ def _derivatives_at(table: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """
     powers = np.arange(table.shape[0])
     rows = max(1, EVAL_CHUNK // table.shape[0])
+    if angles.size <= rows:
+        return (np.exp(1j * np.outer(angles, powers)) @ table).T
     return np.concatenate([
         np.exp(1j * np.outer(angles[i : i + rows], powers)) @ table
         for i in range(0, angles.size, rows)
     ]).T
 
 
-def _bracket_centers(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _bracket_centers(values: np.ndarray, keep: np.ndarray) -> list[int]:
     """Indices of circular local maxima among `keep`, one per plateau."""
-    ge_prev = values >= np.roll(values, 1)
-    ge_next = values >= np.roll(values, -1)
-    cand = np.flatnonzero(ge_prev & ge_next & keep)
-    breaks = np.flatnonzero(np.diff(cand) > 1)
-    runs = np.split(cand, breaks + 1)
+    cand = np.flatnonzero(keep)
+    at = values[cand]
+    cand = cand[(at >= values[cand - 1]) & (at >= values[(cand + 1) % values.size])].tolist()
+    runs: list[list[int]] = []
+    for j in cand:
+        if runs and j == runs[-1][-1] + 1:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
     if len(runs) > 1 and cand[0] == 0 and cand[-1] == values.size - 1:
-        runs[0] = np.concatenate([runs[-1], runs[0]])
-        runs.pop()
-    return np.array([run[np.argmax(values[run])] for run in runs])
+        runs[0] = runs.pop() + runs[0]
+    return [max(run, key=values.__getitem__) for run in runs]
 
 
 def max_modulus_on_circle(coeffs, grid: int = DEFAULT_GRID) -> tuple[float, float]:
@@ -154,40 +161,49 @@ def max_modulus_on_circle(coeffs, grid: int = DEFAULT_GRID) -> tuple[float, floa
     raw_best = int(np.argmax(vals))
     best = float(vals[raw_best])
     theta = step * raw_best
-    if np.ptp(vals) <= 8.0 * _EPS * float(np.abs(c).sum()):
+    if best - vals.min() <= 8.0 * _EPS * float(np.abs(c).sum()):
         return _unscaled(best, exponent), theta
 
     bernstein = degree * degree * best * best / (1.0 - (math.pi * degree / n) ** 2 / 2.0)
     curvature = min(_curvature_bound(c), bernstein)
     slack = 0.5 * curvature * (step / 2.0) ** 2
-    x = _bracket_centers(vals, vals * vals + slack >= best * best) * step
-    lo, hi = x - step, x + step
-    last = np.full(x.size, step)
+    half = 0.5 * curvature
+    # (x, lo, hi, last step) of each live bracket; the scalar arithmetic below
+    # repeats the IEEE operations of an elementwise array form in its order
+    centers = [j * step for j in _bracket_centers(vals, vals * vals + slack >= best * best)]
+    brackets = [(x, x - step, x + step, step) for x in centers]
     k = np.arange(degree + 1)
     table = np.stack([c, 1j * k * c, -(k * k) * c], axis=1)
     for _ in range(max(1, math.ceil(math.log2(step / ANGLE_RESOLUTION)) + 1)):
-        p, dp, d2p = _derivatives_at(table, x)
-        mod = np.abs(p)
-        top = int(np.argmax(mod))
-        if mod[top] > best:
-            best, theta = float(mod[top]), float(x[top] % math.tau)
-        t0 = mod * mod
-        t1 = 2.0 * (p.real * dp.real + p.imag * dp.imag)
-        t2 = 2.0 * (dp.real**2 + dp.imag**2 + p.real * d2p.real + p.imag * d2p.imag)
-        rising = t1 > 0.0
-        lo = np.where(rising, x, lo)
-        hi = np.where(rising, hi, x)
-        newton = -t1 / np.where(t2 < 0.0, t2, -1.0)
-        target = x + newton
-        take = (t2 < 0.0) & (target >= lo) & (target <= hi) & (2.0 * np.abs(newton) <= last)
-        target = np.where(take, target, 0.5 * (lo + hi))
-        last = np.abs(target - x)
-        reach = t0 + np.maximum(
-            t1 * (lo - x) + 0.5 * curvature * (lo - x) ** 2,
-            t1 * (hi - x) + 0.5 * curvature * (hi - x) ** 2,
-        )
-        live = (last >= ANGLE_RESOLUTION) & (reach >= best * best)
-        if not live.any():
+        p, dp, d2p = _derivatives_at(table, np.array([b[0] for b in brackets]))
+        # numpy's complex modulus, which can round apart from Python's abs
+        mods = np.abs(p).tolist()
+        top = max(mods)
+        if top > best:
+            best, theta = top, brackets[mods.index(top)][0] % math.tau
+        floor = best * best
+        live = []
+        for (x, lo, hi, last), pv, dv, d2v, mod in zip(
+            brackets, p.tolist(), dp.tolist(), d2p.tolist(), mods
+        ):
+            t1 = 2.0 * (pv.real * dv.real + pv.imag * dv.imag)
+            t2 = 2.0 * (
+                dv.real * dv.real + dv.imag * dv.imag + pv.real * d2v.real + pv.imag * d2v.imag
+            )
+            if t1 > 0.0:
+                lo = x
+            else:
+                hi = x
+            newton = -t1 / (t2 if t2 < 0.0 else -1.0)
+            target = x + newton
+            if not (t2 < 0.0 and lo <= target <= hi and 2.0 * abs(newton) <= last):
+                target = 0.5 * (lo + hi)
+            last = abs(target - x)
+            down, up = lo - x, hi - x
+            reach = mod * mod + max(t1 * down + half * (down * down), t1 * up + half * (up * up))
+            if last >= ANGLE_RESOLUTION and reach >= floor:
+                live.append((target, lo, hi, last))
+        if not live:
             break
-        x, lo, hi, last = target[live], lo[live], hi[live], last[live]
+        brackets = live
     return _unscaled(best, exponent), theta

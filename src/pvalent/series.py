@@ -94,8 +94,12 @@ def _complex_values(values, name: str) -> tuple[complex, ...]:
     """`values` as Python complexes.  Each must be a number (`numbers.Complex`:
     numpy scalars and fractions too), never a bool; the rule is checked once
     per distinct type, so a long list of one type costs one pass.  Any other
-    entry, or one past the float range, is a DomainError."""
-    values = tuple(values)
+    entry, one past the float range, or a `values` that is not iterable is a
+    DomainError."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise DomainError(f"{name}s must be a sequence, got {values!r}") from None
     bad = {t for t in set(map(type, values)) if t is bool or not issubclass(t, numbers.Complex)}
     if bad:
         first = next(v for v in values if type(v) in bad)
@@ -238,8 +242,16 @@ class TruncatedSeries:
         object.__setattr__(self, "lead_coeff", lead)
         tail = []
         prev = self.lead_exp
-        coeffs = _complex_values([c for _, c in self.tail], "tail coefficient")
-        for (e, _), c in zip(self.tail, coeffs):
+        try:
+            # a tuple first: a one-shot iterator must survive the second pass below
+            terms = tuple(self.tail)
+            coeffs = [c for _, c in terms]
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"tail must be a sequence of (exponent, coefficient) pairs, got {self.tail!r}"
+            ) from None
+        coeffs = _complex_values(coeffs, "tail coefficient")
+        for (e, _), c in zip(terms, coeffs):
             e = _require_int(e, "tail exponent")
             if e <= prev:
                 raise DomainError(f"tail exponents must increase strictly past {prev}, got {e}")

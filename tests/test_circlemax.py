@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from pvalent import DomainError, max_modulus_on_circle, sup_oracle
-from pvalent.circlemax import MAX_GRID, _bracket_centers, _curvature_bound
+from pvalent.circlemax import (
+    ANGLE_RESOLUTION,
+    EVAL_CHUNK,
+    MAX_GRID,
+    SAMPLES_PER_DEGREE,
+    _bracket_centers,
+    _curvature_bound,
+    _unscaled,
+)
 
 ORACLE_POINTS = 1 << 20
 
@@ -204,7 +212,7 @@ def test_tiny_variation_is_not_flat():
 def test_plateau_across_the_seam_gives_one_center(values, centers):
     # the plateau runs from the last sample on to the first: one bracket, not two
     values = np.array(values)
-    assert _bracket_centers(values, np.ones(values.size, bool)).tolist() == centers
+    assert _bracket_centers(values, np.ones(values.size, bool)) == centers
 
 
 def _family(kind: str, degree: int, rng) -> np.ndarray:
@@ -259,3 +267,84 @@ def test_large_coefficients_do_not_overflow():
         value, theta = max_modulus_on_circle(c, grid=64)
     assert value == pytest.approx(5e301, rel=1e-13)
     assert min(theta, 2 * math.pi - theta) < 1e-9
+
+
+def _reference_max_modulus(coeffs, grid: int) -> tuple[float, float]:
+    """The refinement as whole-array numpy steps over all live brackets: the
+    bitwise reference for the scalar bookkeeping of `max_modulus_on_circle`."""
+    c = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    degree = int(np.flatnonzero(c)[-1])
+    exponent = math.frexp(float(np.max(np.abs(c[: degree + 1].view(np.float64)))))[1]
+    c = np.ldexp(c[: degree + 1].view(np.float64), -exponent).view(np.complex128)
+    n = grid
+    while n < SAMPLES_PER_DEGREE * degree:
+        n *= 2
+    step = math.tau / n
+    vals = np.abs(np.fft.fft(np.conj(c), n))
+    raw_best = int(np.argmax(vals))
+    best = float(vals[raw_best])
+    theta = step * raw_best
+    if np.ptp(vals) <= 8.0 * np.finfo(float).eps * float(np.abs(c).sum()):
+        return _unscaled(best, exponent), theta
+
+    bernstein = degree * degree * best * best / (1.0 - (math.pi * degree / n) ** 2 / 2.0)
+    curvature = min(_curvature_bound(c), bernstein)
+    slack = 0.5 * curvature * (step / 2.0) ** 2
+    keep = vals * vals + slack >= best * best
+    cand = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)) & keep)
+    runs = np.split(cand, np.flatnonzero(np.diff(cand) > 1) + 1)
+    if len(runs) > 1 and cand[0] == 0 and cand[-1] == vals.size - 1:
+        runs[0] = np.concatenate([runs[-1], runs[0]])
+        runs.pop()
+    x = np.array([run[np.argmax(vals[run])] for run in runs]) * step
+    lo, hi = x - step, x + step
+    last = np.full(x.size, step)
+    k = np.arange(degree + 1)
+    table = np.stack([c, 1j * k * c, -(k * k) * c], axis=1)
+    rows = max(1, EVAL_CHUNK // table.shape[0])
+    for _ in range(max(1, math.ceil(math.log2(step / ANGLE_RESOLUTION)) + 1)):
+        p, dp, d2p = np.concatenate([
+            np.exp(1j * np.outer(x[i : i + rows], k)) @ table for i in range(0, x.size, rows)
+        ]).T
+        mod = np.abs(p)
+        top = int(np.argmax(mod))
+        if mod[top] > best:
+            best, theta = float(mod[top]), float(x[top] % math.tau)
+        t0 = mod * mod
+        t1 = 2.0 * (p.real * dp.real + p.imag * dp.imag)
+        t2 = 2.0 * (dp.real**2 + dp.imag**2 + p.real * d2p.real + p.imag * d2p.imag)
+        rising = t1 > 0.0
+        lo = np.where(rising, x, lo)
+        hi = np.where(rising, hi, x)
+        newton = -t1 / np.where(t2 < 0.0, t2, -1.0)
+        target = x + newton
+        take = (t2 < 0.0) & (target >= lo) & (target <= hi) & (2.0 * np.abs(newton) <= last)
+        target = np.where(take, target, 0.5 * (lo + hi))
+        last = np.abs(target - x)
+        reach = t0 + np.maximum(
+            t1 * (lo - x) + 0.5 * curvature * (lo - x) ** 2,
+            t1 * (hi - x) + 0.5 * curvature * (hi - x) ** 2,
+        )
+        live = (last >= ANGLE_RESOLUTION) & (reach >= best * best)
+        if not live.any():
+            break
+        x, lo, hi, last = target[live], lo[live], hi[live], last[live]
+    return _unscaled(best, exponent), theta
+
+
+@pytest.mark.parametrize("kind", FAMILIES + ("many-bracket",))
+def test_refinement_matches_array_reference_bitwise(kind):
+    # 1 + 1e-9 z^{d/2} + z^d holds d/2 near-equal maxima, so many brackets
+    # stay live for several rounds
+    rng = np.random.default_rng(200 + (FAMILIES + ("many-bracket",)).index(kind))
+    for degree in (1, 3, 5, 11, 40, 64, 300):
+        if kind == "many-bracket":
+            c = np.zeros(degree + 1, dtype=complex)
+            c[0] = 1.0
+            c[degree // 2] += 1e-9
+            c[degree] += 1.0
+        else:
+            c = _family(kind, degree, rng)
+        for grid in (8, 64, 1000, 4096):
+            value, theta = max_modulus_on_circle(c, grid=grid)
+            assert (value, theta) == _reference_max_modulus(c, grid), (degree, grid)

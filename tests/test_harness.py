@@ -207,6 +207,8 @@ def test_lemma_rejects_bad_inputs():
         message = f"w coefficient must be a complex number, got {bad!r}"
         with pytest.raises(DomainError, match=re.escape(message)):
             lemma_witness([0.0, bad], 1, 0.5)
+    with pytest.raises(DomainError, match="w coefficients must be a sequence, got None"):
+        lemma_witness(None, 1, 0.5)
     w = lemma_witness([0, Fraction(1, 2), np.float32(0.25)], 1, 0.5)
     assert w.w_coeffs == (0j, 0.5 + 0j, 0.25 + 0j)
 

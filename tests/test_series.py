@@ -88,6 +88,11 @@ def test_function_validation():
     for huge in (10**400, Fraction(10**400, 3)):
         with pytest.raises(DomainError, match="coefficient is not finite"):
             MultivalentFunction(1, 1, (huge,))
+    # the coefficient container itself must be iterable
+    for bad in (None, 5):
+        message = f"coefficients must be a sequence, got {bad!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            MultivalentFunction(1, 1, bad)
     coeffs = (Fraction(1, 2), np.float32(0.5), np.int64(3), np.complex128(1j), 2)
     assert MultivalentFunction(1, 1, coeffs).coeffs == (0.5, 0.5, 3, 1j, 2)
     assert all(type(c) is complex for c in MultivalentFunction(1, 1, coeffs).coeffs)
@@ -107,6 +112,12 @@ def test_series_validation():
     for lead, tail in (("1", ()), (True, ()), (1.0, ((2, None),)), (1.0, ((2, "1"),))):
         with pytest.raises(DomainError, match="must be a complex number"):
             TruncatedSeries(0, lead, tail)
+    # the tail is a sequence of (exponent, coefficient) pairs
+    for tail in (None, 5, ((2,),), ((2, 1.0, 3),), (2,)):
+        with pytest.raises(DomainError, match="tail must be a sequence of"):
+            TruncatedSeries(0, 1.0, tail)
+    # a one-shot iterator of pairs keeps every term
+    assert TruncatedSeries(0, 1.0, iter([(1, 2.0), (3, 1j)])).tail == ((1, 2 + 0j), (3, 1j))
     s = TruncatedSeries(1, 2.0, ((3, 1j),))
     assert s.max_exponent == 3
     assert list(s.dense_coefficients()) == [0j, 2.0 + 0j, 0j, 1j]
