@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .series import _coefficient_array, _require_int
 
 DEFAULT_GRID = 4096
 MIN_GRID = 8
@@ -136,15 +137,15 @@ def max_modulus_on_circle(coeffs, grid: int = DEFAULT_GRID) -> tuple[float, floa
     T + T' h + M h^2 / 2 over its ends h falls below the best value found;
     no bracket takes more rounds than bisection needs to shrink a step
     to `ANGLE_RESOLUTION`.  The reported value is never below the best
-    sample.  Grids outside [8, 2^22] and non-finite coefficients are rejected.
+    sample.  Grids that are not integers in [8, 2^22] and coefficients that
+    are not a 1-D array of finite numbers are rejected.
     """
+    grid = _require_int(grid, "grid")
     if grid < MIN_GRID:
         raise DomainError(f"grid must be at least {MIN_GRID}, got {grid}")
     if grid > MAX_GRID:
         raise DomainError(f"grid must be at most {MAX_GRID}, got {grid}")
-    c = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    if not np.isfinite(c).all():
-        raise DomainError(f"coefficient of z^{np.flatnonzero(~np.isfinite(c))[0]} is not finite")
+    c = _coefficient_array(coeffs)
     nonzero = np.flatnonzero(c)
     if nonzero.size == 0:
         return 0.0, 0.0

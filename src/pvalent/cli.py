@@ -89,13 +89,16 @@ class UsageError(PValentError):
 
 
 def parse_angle(text: str) -> float:
-    """Radians, with an optional pi* prefix: '0.5', 'pi*0.5', '-pi*1'."""
+    """Radians, with an optional pi* prefix: '0.5', 'pi*0.5', '-pi*1'.  One
+    leading sign at most, as for `float`: '--1' and '+-1' are rejected."""
     t = text.strip()
     sign = 1.0
     if t.startswith(("+", "-")):
         if t[0] == "-":
             sign = -1.0
         t = t[1:]
+        if t.startswith(("+", "-")):
+            raise ValueError(f"two leading signs in {text!r}")
     if t.startswith("pi*"):
         return sign * math.pi * float(t[3:])
     return sign * float(t)
@@ -363,7 +366,8 @@ def cmd_check(args) -> int:
         # member-n / member-m: also surface the sum criterion, whose holding
         # guarantees membership
         family = criteria.DERIVATIVE if args.criterion == "member-n" else criteria.VALUE
-        verdict, companion = criteria.membership_with_sum(family, f, g, op, nb, args.grid)
+        pair = criteria._Pair(f, g, op, nb)
+        verdict, companion = criteria.membership_with_sum(family, pair, args.grid)
         _print_verdict("", verdict)
         print("sufficient-side companion")
         _print_verdict("  ", companion)

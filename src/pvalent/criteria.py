@@ -18,9 +18,11 @@ family there is
 * a necessity bound valid when the twisted coefficient differences have
   arguments aligned along k*phi and 0 <= alpha < beta <= pi.
 
-The ``_n``/``_m`` entry points are one-line calls into one body per kind of
-check, reading one `_Pair`: the twisted coefficient differences of (f, g),
-each family's weights over them and the sum and supremum they give.  One
+Each public check is one line: it builds the `_Pair` of (f, g) (the twisted
+coefficient differences, each family's weights over them and the sums and
+suprema they give) and hands it to one body per kind of check.  A caller
+that reads several statements of one pair builds it once and calls the
+bodies itself, so no weight vector or supremum is formed twice.  One
 rule, `_decide`, gives every verdict: sums use <=, suprema strict <.  When a
 check whose hypotheses were verified numerically fails its guaranteed
 conclusion, the verdict is marked as a falsification event and logged
@@ -244,7 +246,8 @@ class _Pair:
     changes.  The parts are formed from separate real multiplies and
     subtractions in CPython's order for complex products, so they carry the bits
     of ua * a - ub * b; numpy's complex multiply may fuse the steps into FMAs.
-    Each family's weights are formed on first use and kept."""
+    Each family's weights and each (family, grid) supremum are formed on first
+    use and kept."""
 
     def __init__(
         self,
@@ -270,12 +273,14 @@ class _Pair:
             self.re = (ua.real * a.real - ua.imag * a.imag) - (ub.real * b.real - ub.imag * b.imag)
             self.im = (ua.real * a.imag + ua.imag * a.real) - (ub.real * b.imag + ub.imag * b.real)
         self._weights: dict[Family, np.ndarray] = {}
+        self._sups: dict[tuple[Family, int], float] = {}
 
-    def admitted(self, family: Family) -> float:
-        """Check delta against `family`'s admissibility bound; return the bound."""
+    def admitted(self, family: Family) -> tuple[float, tuple[str, ...]]:
+        """Check delta against `family`'s admissibility bound; return the sum
+        threshold delta minus that bound and the family's notes on delta."""
         bound = family.bound(self.p, self.op.m, self.nb.alpha, self.nb.beta)
         _require_admissible(self.nb.delta, bound, family.label)
-        return bound
+        return self.nb.delta - bound, family.notes(self.nb, self.p, self.op.m)
 
     def weights(self, family: Family) -> np.ndarray:
         """The family's weights w_k over `ks`, from one weight pass."""
@@ -290,7 +295,11 @@ class _Pair:
 
     def sup(self, family: Family, grid: int) -> float:
         """The boundary supremum of the family's twisted difference, at `grid`."""
-        return max_modulus_on_circle(phase_difference(family, self), grid)[0]
+        key = family, _require_int(grid, "grid")
+        sup = self._sups.get(key)
+        if sup is None:
+            sup = self._sups[key] = max_modulus_on_circle(phase_difference(family, self), grid)[0]
+        return sup
 
 
 def _weighted_sum(weights, re, im=0.0) -> float:
@@ -303,24 +312,15 @@ def _weighted_sum(weights, re, im=0.0) -> float:
         return math.inf
 
 
-def _sufficient(
-    family: Family,
-    f: MultivalentFunction,
-    g: MultivalentFunction,
-    op: OperatorParams,
-    nb: NeighborhoodParams,
-    align: ArgAlignment | None = None,
-) -> Verdict:
+def _sufficient(family: Family, pair: _Pair, align: ArgAlignment | None = None) -> Verdict:
     """The family's weighted sum against delta minus its bound; given `align`, the
     modulus form sum_k w_k ||a_{k+p}| - |b_{k+p}||, which requires
     arg a_{k+p} - arg b_{k+p} = beta - alpha wherever both are nonzero.  A modulus
     past the float range reads inf (a difference of two such, nan): the sum fails."""
-    pair = _Pair(f, g, op, nb)
-    bound = pair.admitted(family)
-    notes = family.notes(nb, f.p, op.m)
+    thr, notes = pair.admitted(family)
     if align is None:
-        return _decide(pair.sum(family), nb.delta - bound, False, notes)
-    a, b, expected = pair.a, pair.b, nb.beta - nb.alpha
+        return _decide(pair.sum(family), thr, False, notes)
+    a, b, expected = pair.a, pair.b, pair.nb.beta - pair.nb.alpha
     _require_aligned(
         "argument alignment arg(a)-arg(b)=beta-alpha", pair.ks, align.tolerance,
         np.arctan2(a.imag, a.real) - np.arctan2(b.imag, b.real), expected,
@@ -329,7 +329,7 @@ def _sufficient(
     )
     with np.errstate(over="ignore", invalid="ignore"):
         moduli = np.hypot(a.real, a.imag) - np.hypot(b.real, b.imag)
-    return _decide(_weighted_sum(pair.weights(family), moduli), nb.delta - bound, False, notes)
+    return _decide(_weighted_sum(pair.weights(family), moduli), thr, False, notes)
 
 
 def sufficient_n(
@@ -344,7 +344,7 @@ def sufficient_n(
     compared inclusively against threshold_n.  Holding implies membership in
     the derivative-side neighborhood.
     """
-    return _sufficient(DERIVATIVE, f, g, op, nb)
+    return _sufficient(DERIVATIVE, _Pair(f, g, op, nb))
 
 
 def sufficient_m(
@@ -354,7 +354,7 @@ def sufficient_m(
     nb: NeighborhoodParams,
 ) -> Verdict:
     """Value-side sufficient criterion, with weight W(k) and threshold_m."""
-    return _sufficient(VALUE, f, g, op, nb)
+    return _sufficient(VALUE, _Pair(f, g, op, nb))
 
 
 def sufficient_n_modulus(
@@ -370,7 +370,7 @@ def sufficient_n_modulus(
     difference satisfies |e^{i alpha} a - e^{i beta} b| = ||a| - |b||, so this
     equals `sufficient_n` exactly.  Misaligned indices are rejected.
     """
-    return _sufficient(DERIVATIVE, f, g, op, nb, align)
+    return _sufficient(DERIVATIVE, _Pair(f, g, op, nb), align)
 
 
 def sufficient_m_modulus(
@@ -381,7 +381,7 @@ def sufficient_m_modulus(
     align: ArgAlignment,
 ) -> Verdict:
     """Value-side mirror of `sufficient_n_modulus`."""
-    return _sufficient(VALUE, f, g, op, nb, align)
+    return _sufficient(VALUE, _Pair(f, g, op, nb), align)
 
 
 # ---------------------------------------------------------------------------
@@ -407,28 +407,21 @@ def phase_difference(family: Family, pair: _Pair) -> np.ndarray:
 
 
 def membership_with_sum(
-    family: Family,
-    f: MultivalentFunction,
-    g: MultivalentFunction,
-    op: OperatorParams,
-    nb: NeighborhoodParams,
-    grid: int = DEFAULT_GRID,
+    family: Family, pair: _Pair, grid: int = DEFAULT_GRID
 ) -> tuple[Verdict, Verdict]:
     """The family's boundary supremum against delta (strict), and its sufficient
-    sum criterion from the same weights and differences: one weight pass for
-    the pair that `sufficient_*` and `membership_*` return apart, with the
-    same bytes and the same errors in the same order.  The sum implies
-    membership: a failed membership whose sum holds is a falsification."""
-    pair = _Pair(f, g, op, nb)
-    bound = pair.admitted(family)
-    notes = family.notes(nb, f.p, op.m)
+    sum criterion from the same weights and differences: what `membership_*`
+    and `sufficient_*` return apart, with the same bytes and the same errors
+    in the same order.  The sum implies membership: a failed membership whose
+    sum holds is a falsification."""
+    thr, notes = pair.admitted(family)
     sup = pair.sup(family, grid)
-    suff = _decide(pair.sum(family), nb.delta - bound, False, notes)
+    suff = _decide(pair.sum(family), thr, False, notes)
     falsified = suff.holds and (
         f"{family.label} membership failed although its sufficient sum held "
         "(lhs=%r, threshold=%r)"
     )
-    return _decide(sup, nb.delta, True, notes, falsified), suff
+    return _decide(sup, pair.nb.delta, True, notes, falsified), suff
 
 
 def membership_n(
@@ -445,7 +438,7 @@ def membership_n(
     truncated data this equals the supremum over the open disk.  Holds iff
     lhs < delta (strict).
     """
-    return membership_with_sum(DERIVATIVE, f, g, op, nb, grid)[0]
+    return membership_with_sum(DERIVATIVE, _Pair(f, g, op, nb), grid)[0]
 
 
 def membership_m(
@@ -456,7 +449,7 @@ def membership_m(
     grid: int = DEFAULT_GRID,
 ) -> Verdict:
     """Definitional value-side membership test, dividing the images by z^{p-m}."""
-    return membership_with_sum(VALUE, f, g, op, nb, grid)[0]
+    return membership_with_sum(VALUE, _Pair(f, g, op, nb), grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +483,7 @@ def _require_aligned(hypothesis: str, ks: range, tolerance: float, angle, target
             )
 
 
-def _necessary(
-    family: Family,
-    f: MultivalentFunction,
-    g: MultivalentFunction,
-    op: OperatorParams,
-    nb: NeighborhoodParams,
-    align: ArgAlignment,
-    grid: int,
-) -> Verdict:
+def _necessary(family: Family, pair: _Pair, align: ArgAlignment, grid: int) -> Verdict:
     """The family's weighted sum against delta - p!/(p-m-1)! (cos alpha - cos beta).
 
     Both families use this derivative-side lead, although the value-side
@@ -506,7 +491,7 @@ def _necessary(
     alignment and (at `grid`) membership are verified first, so a failed
     bound is a falsification.
     """
-    pair = _Pair(f, g, op, nb)
+    nb = pair.nb
     if not (0.0 <= nb.alpha < nb.beta <= math.pi):
         raise HypothesisViolationError(
             "necessity bounds require 0 <= alpha < beta <= pi; "
@@ -520,15 +505,14 @@ def _necessary(
         np.arctan2(im, re), kphi, (re != 0.0) | (im != 0.0),
         lambda i: wrap_angle(cmath.phase(complex(re[i], im[i])) - ks[i] * align.phi),
     )
-    pair.admitted(family)
-    notes = family.notes(nb, f.p, op.m)
+    notes = pair.admitted(family)[1]
     sup = pair.sup(family, grid)
     if not _decide(sup, nb.delta, True).holds:
         raise HypothesisViolationError(
             "membership hypothesis fails: boundary supremum "
             f"{sup!r} is not below delta={nb.delta!r}"
         )
-    thr = nb.delta - DERIVATIVE.lead(f.p, op.m) * (math.cos(nb.alpha) - math.cos(nb.beta))
+    thr = nb.delta - DERIVATIVE.lead(pair.p, pair.op.m) * (math.cos(nb.alpha) - math.cos(nb.beta))
     return _decide(
         pair.sum(family), thr, False, notes,
         f"{family.label} necessity bound failed with verified hypotheses "
@@ -553,7 +537,7 @@ def necessary_n(
     Membership is verified numerically (at `grid`), so a failed conclusion
     is flagged as a falsification.
     """
-    return _necessary(DERIVATIVE, f, g, op, nb, align, grid)
+    return _necessary(DERIVATIVE, _Pair(f, g, op, nb), align, grid)
 
 
 def necessary_m(
@@ -570,7 +554,7 @@ def necessary_m(
     the threshold delta + p!/(p-m-1)! (cos beta - cos alpha) takes the
     derivative-side constant, not p!/(p-m)! (README, Known issues).
     """
-    return _necessary(VALUE, f, g, op, nb, align, grid)
+    return _necessary(VALUE, _Pair(f, g, op, nb), align, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +654,12 @@ def transfer_check(
     hypothesis holds the conclusion is guaranteed; a violation is marked as a
     falsification event on the conclusion verdict.
     """
-    pair = _Pair(f, g, op, nb)
-    p, n, m = f.p, f.n, op.m
+    return _transfer(_Pair(f, g, op, nb), grid)
+
+
+def _transfer(pair: _Pair, grid: int) -> ImplicationPair:
+    """The body of `transfer_check`."""
+    p, n, m, nb = pair.p, pair.n, pair.op.m, pair.nb
     radical_n = DERIVATIVE.bound(p, m, nb.alpha, nb.beta)
     _require_admissible(nb.delta, radical_n / (p + n - m), "transfer")
 

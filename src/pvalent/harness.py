@@ -31,6 +31,7 @@ from .series import (
     NeighborhoodParams,
     OperatorParams,
     TruncatedSeries,
+    _coefficient_array,
     _complex_values,
     _require_finite_float,
     _require_int,
@@ -215,11 +216,13 @@ def sup_oracle(coeffs, grid: int) -> float:
     with q = ceil(sqrt(L)), is the product of two exact exponentials, of
     a1 q l and a0 l mod grid, from two small tables.  With L = 1 this is one
     FFT of the folded coefficients.  Nothing of size O(grid) outlives the
-    call.  Deliberately independent of the production path.
+    call.  Deliberately independent of the production path; it shares only
+    the input rules of `series`.
     """
+    grid = _require_int(grid, "grid")
     if grid < 1:
         raise DomainError(f"grid must be >= 1, got {grid}")
-    c = np.asarray(coeffs, dtype=np.complex128)
+    c = _coefficient_array(coeffs)
     if c.size == 0:
         return 0.0
     size = min(c.size, grid)
@@ -439,13 +442,14 @@ def _suite_rotation_invariance(rng) -> dict | None:
     op = spec.operator
     t = float(rng.uniform(-math.pi, math.pi))
     shifted = NeighborhoodParams(nb.alpha + t, nb.beta + t, nb.delta)
-    grid = 1024  # coarser than the default on purpose: each trial takes eight suprema
+    grid = 1024  # coarser than the default on purpose: each trial takes four suprema
 
     def verdicts(params):
-        pair = criteria.transfer_check(f, g, op, params, grid)
-        mem_n, sum_n = criteria.membership_with_sum(criteria.DERIVATIVE, f, g, op, params, grid)
-        mem_m, sum_m = criteria.membership_with_sum(criteria.VALUE, f, g, op, params, grid)
-        return [sum_n, sum_m, mem_n, mem_m, pair.hypothesis, pair.conclusion]
+        pair = criteria._Pair(f, g, op, params)
+        transfer = criteria._transfer(pair, grid)
+        mem_n, sum_n = criteria.membership_with_sum(criteria.DERIVATIVE, pair, grid)
+        mem_m, sum_m = criteria.membership_with_sum(criteria.VALUE, pair, grid)
+        return [sum_n, sum_m, mem_n, mem_m, transfer.hypothesis, transfer.conclusion]
 
     for base, moved in zip(verdicts(nb), verdicts(shifted)):
         if base.holds != moved.holds:
@@ -469,9 +473,8 @@ def _suite_rotation_invariance(rng) -> dict | None:
 def _implication_trial(rng, target: str) -> dict | None:
     spec = _draw_spec(rng)
     f, g, nb = generate_pair(spec, target)
-    op = spec.operator
     family = criteria.DERIVATIVE if target == "inside_sufficient_n" else criteria.VALUE
-    member, suff = criteria.membership_with_sum(family, f, g, op, nb)
+    member, suff = criteria.membership_with_sum(family, criteria._Pair(f, g, spec.operator, nb))
     if suff.holds and member.holds:
         return None
     return {

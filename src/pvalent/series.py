@@ -110,6 +110,23 @@ def _complex_values(values, name: str) -> tuple[complex, ...]:
         raise DomainError(f"{name} is not finite") from None
 
 
+def _coefficient_array(coeffs) -> np.ndarray:
+    """`coeffs`, ascending from z^0, as a 1-D complex128 array of finite numbers.
+    Another shape, a bool, string or other non-numeric entry, or a value that
+    is not finite is a DomainError."""
+    try:
+        c = np.asarray(coeffs)
+    except ValueError:  # a ragged nesting
+        c = np.asarray(coeffs, dtype=object)
+    if c.ndim != 1 or c.dtype.kind not in "iufc":
+        raise DomainError(f"coefficients must be a 1-D numeric array, got {c.ndim}-D {c.dtype}")
+    c = np.ascontiguousarray(c, dtype=np.complex128)
+    finite = np.isfinite(c)
+    if not finite.all():
+        raise DomainError(f"coefficient of z^{np.flatnonzero(~finite)[0]} is not finite")
+    return c
+
+
 def _require_valence(p: int, m: int) -> None:
     """0 <= m < p: the operator and both families exist only for m below the valence."""
     if m < 0:

@@ -7,7 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from pvalent import DomainError, max_modulus_on_circle, sup_oracle
+from pvalent import (
+    DomainError,
+    MultivalentFunction,
+    NeighborhoodParams,
+    OperatorParams,
+    max_modulus_on_circle,
+    membership_m,
+    membership_n,
+    sup_oracle,
+    transfer_check,
+)
 from pvalent.circlemax import (
     ANGLE_RESOLUTION,
     EVAL_CHUNK,
@@ -63,6 +73,36 @@ def test_rejects_small_grid():
         max_modulus_on_circle(np.array([1.0, 1.0]), grid=MAX_GRID + 1)
     with pytest.raises(DomainError):
         sup_oracle(np.array([1.0]), 0)
+
+
+_PAIR = (MultivalentFunction(1, 1, (0.5,)), MultivalentFunction(1, 1), OperatorParams(),
+         NeighborhoodParams(0.0, 0.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: max_modulus_on_circle([1.0, 1.0], 16.0), "grid must be an integer, got 16.0"),
+        (lambda: max_modulus_on_circle([1.0, 1.0], None), "grid must be an integer, got None"),
+        (lambda: max_modulus_on_circle([1.0, 1.0], [64]), r"grid must be an integer, got \[64\]"),
+        (lambda: membership_n(*_PAIR, grid=9.5), "grid must be an integer, got 9.5"),
+        (lambda: membership_m(*_PAIR, grid=[64]), r"grid must be an integer, got \[64\]"),
+        (lambda: transfer_check(*_PAIR, grid="64"), "grid must be an integer, got '64'"),
+        (lambda: max_modulus_on_circle(np.ones((2, 2))), "numeric array, got 2-D float64"),
+        (lambda: max_modulus_on_circle(["a"]), "1-D numeric array, got 1-D"),
+        (lambda: max_modulus_on_circle([[1.0], [1.0, 2.0]]), "1-D numeric array, got 1-D"),
+        (lambda: max_modulus_on_circle([True, False]), "1-D numeric array, got 1-D"),
+        (lambda: sup_oracle([math.nan, 1.0], 8), r"coefficient of z\^0 is not finite"),
+        (lambda: sup_oracle([1.0, 1.0], 2.5), "grid must be an integer, got 2.5"),
+        (lambda: sup_oracle([1.0, 1.0], "x"), "grid must be an integer, got 'x'"),
+        (lambda: sup_oracle(np.ones((2, 2)), 8), "numeric array, got 2-D float64"),
+        (lambda: sup_oracle(["a"], 8), "1-D numeric array, got 1-D"),
+    ],
+)
+def test_supremum_inputs_that_are_not_an_integer_grid_or_a_numeric_vector(call, message):
+    with pytest.raises(DomainError, match=message) as info:
+        call()
+    assert type(info.value) is DomainError
 
 
 @pytest.mark.parametrize(

@@ -139,6 +139,14 @@ def test_apply_huge_integer_literals_are_file_errors(tmp_path):
         assert result.stderr.startswith(f"error: {src}: {message}"), result.stderr
 
 
+@pytest.mark.parametrize("angle", ["--1", "+-1", "-+0.5"])
+def test_angle_with_two_leading_signs_is_a_usage_error(tmp_path, angle):
+    f = write_json(tmp_path / "f.json", IDENTITY_FILE)
+    result = run_cli("check", f, f, "--criterion", "suff-n", "--delta", "1.0", f"--alpha={angle}")
+    assert result.returncode == 2, result.stderr
+    assert f"argument --alpha: invalid parse_angle value: '{angle}'" in result.stderr
+
+
 def test_apply_non_utf8_file_is_a_file_error(tmp_path):
     src = tmp_path / "f.json"
     src.write_bytes(b'{"p": 1, "n": 1, "coefficients": [], "note": "\xff"}')

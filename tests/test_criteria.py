@@ -249,7 +249,7 @@ def test_membership_with_sum_is_the_separate_pair_bit_for_bit():
         op = spec.operator
         for family, member, suff in ((DERIVATIVE, membership_n, sufficient_n),
                                      (VALUE, membership_m, sufficient_m)):
-            pair = membership_with_sum(family, f, g, op, nb, 1024)
+            pair = membership_with_sum(family, _Pair(f, g, op, nb), 1024)
             separate = (member(f, g, op, nb, 1024), suff(f, g, op, nb))
             assert repr(pair) == repr(separate), (seed, family.label)
 
@@ -257,7 +257,8 @@ def test_membership_with_sum_is_the_separate_pair_bit_for_bit():
 def test_each_check_forms_one_weight_vector_per_family(monkeypatch):
     """Each check forms one weight vector per family it reads, and the suprema
     it needs: none for a sum, one for membership and necessity, two for the
-    transfer."""
+    transfer.  The transfer and both memberships read from one pair form two
+    of each, as the transfer alone does."""
     calls, sups = [], []
     weight_pass = series._weight_pass
     sup = criteria.max_modulus_on_circle
@@ -277,6 +278,12 @@ def test_each_check_forms_one_weight_vector_per_family(monkeypatch):
     g = MultivalentFunction(2, 1)
     op, align = OperatorParams(lam=0.4, m=1, omega=2), ArgAlignment(phi=0.0)
     nb = NeighborhoodParams(0.0, math.pi / 2, 40.0)
+
+    def shared_pair(pair):
+        criteria._transfer(pair, criteria.DEFAULT_GRID)
+        membership_with_sum(DERIVATIVE, pair)
+        membership_with_sum(VALUE, pair)
+
     checks = {
         "sufficient_n": (lambda: sufficient_n(f, g, op, nb), 1, 0),
         "sufficient_m": (lambda: sufficient_m(f, g, op, nb), 1, 0),
@@ -284,10 +291,11 @@ def test_each_check_forms_one_weight_vector_per_family(monkeypatch):
         "sufficient_m_modulus": (lambda: sufficient_m_modulus(f, g, op, nb, align), 1, 0),
         "membership_n": (lambda: membership_n(f, g, op, nb), 1, 1),
         "membership_m": (lambda: membership_m(f, g, op, nb), 1, 1),
-        "membership_with_sum": (lambda: membership_with_sum(VALUE, f, g, op, nb), 1, 1),
+        "membership_with_sum": (lambda: membership_with_sum(VALUE, _Pair(f, g, op, nb)), 1, 1),
         "necessary_n": (lambda: necessary_n(f, g, op, nb, align), 1, 1),
         "necessary_m": (lambda: necessary_m(f, g, op, nb, align), 1, 1),
         "transfer_check": (lambda: transfer_check(f, g, op, nb), 2, 2),
+        "shared_pair": (lambda: shared_pair(_Pair(f, g, op, nb)), 2, 2),
     }
     for name, (check, weight_vectors, suprema) in checks.items():
         calls.clear()
@@ -904,7 +912,7 @@ def test_library_verdicts_flag_falsifications(monkeypatch, caplog):
     for family, member in ((DERIVATIVE, membership_n), (VALUE, membership_m)):
         _force_suprema(monkeypatch, [1.0, 1.0])
         caplog.clear()
-        v, suff = membership_with_sum(family, e, e, op, same)
+        v, suff = membership_with_sum(family, _Pair(e, e, op, same))
         assert suff.holds and not suff.falsification and suff.notes == ()
         assert (v.holds, v.falsification, v.notes) == (False, True, (FALSIFICATION_NOTE,))
         assert repr(member(e, e, op, same)) == repr(v)
@@ -927,7 +935,7 @@ def test_failed_conclusions_without_their_hypotheses_are_not_falsifications(
     assert not pair.falsification and not pair.conclusion.falsification
     for family in (DERIVATIVE, VALUE):
         _force_suprema(monkeypatch, [1e9])
-        v, suff = membership_with_sum(family, f, g, op, nb)
+        v, suff = membership_with_sum(family, _Pair(f, g, op, nb))
         assert not suff.holds and not v.holds
         assert not v.falsification and v.notes == ()
     _force_suprema(monkeypatch, [1e9])

@@ -32,7 +32,7 @@ from pvalent import (
     sufficient_n,
     transfer_check,
 )
-from pvalent import criteria, harness
+from pvalent import criteria, harness, series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -276,6 +276,12 @@ def _never(*args):
     return False
 
 
+def _failed_members(family, pair, grid=criteria.DEFAULT_GRID):
+    """`membership_with_sum` on a pair that the trial built, failing both verdicts."""
+    assert isinstance(pair, criteria._Pair)
+    return _FAILED, _FAILED
+
+
 def _drifting_generate_pair(monkeypatch):
     """generate_pair whose delta grows by one on every call."""
     real = harness.generate_pair
@@ -296,12 +302,8 @@ FORCED_FAILURES = {
     "blend_derivative_consistency": lambda mp: mp.setattr(harness, "_series_equal", _never),
     "weight_exactness": lambda mp: mp.setattr(harness, "exact_blend_weight", lambda *a: Fraction(0)),
     "rotation_invariance": lambda mp: mp.setattr(harness, "_rel_close", _never),
-    "thm_2_1_implication": lambda mp: mp.setattr(
-        criteria, "membership_with_sum", lambda *a: (_FAILED, _FAILED)
-    ),
-    "thm_2_4_implication": lambda mp: mp.setattr(
-        criteria, "membership_with_sum", lambda *a: (_FAILED, _FAILED)
-    ),
+    "thm_2_1_implication": lambda mp: mp.setattr(criteria, "membership_with_sum", _failed_members),
+    "thm_2_4_implication": lambda mp: mp.setattr(criteria, "membership_with_sum", _failed_members),
     "alignment_equality": lambda mp: mp.setattr(harness, "_rel_close", _never),
     "telescoping_closed_form": lambda mp: mp.setattr(
         harness, "Fraction", lambda num=0, den=1: Fraction(num, den + 1)
@@ -334,6 +336,26 @@ def test_every_suite_reports_a_forced_failure(name, monkeypatch):
     summary = report.text_summary()
     assert "result   : FAIL" in summary
     assert f"first counterexample: {counterexample}" in summary
+
+
+def test_rotation_trials_take_each_supremum_and_weight_vector_once(monkeypatch):
+    # per trial, two parameter sets, each one pair read by the transfer and
+    # both memberships: two suprema and two weight passes per pair
+    sups, weights = itertools.count(), itertools.count()
+    sup, weight_pass = criteria.max_modulus_on_circle, series._weight_pass
+
+    def counted_sup(*args, **kwargs):
+        next(sups)
+        return sup(*args, **kwargs)
+
+    def counted_weights(*args, **kwargs):
+        next(weights)
+        return weight_pass(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "max_modulus_on_circle", counted_sup)
+    monkeypatch.setattr(series, "_weight_pass", counted_weights)
+    assert run_property_suite("rotation_invariance", 5, seed=0).passed
+    assert (next(sups), next(weights)) == (20, 20)
 
 
 def test_membership_oracle_not_fooled_by_failed_instances():
