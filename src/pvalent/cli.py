@@ -23,9 +23,14 @@ index.  A file that orjson rejects, that may nest too deep for it, that has
 other keys or that fails a check is loaded again by the ``json`` route,
 which gives every error its message; a file that loads has the same bits by
 either route.  The output of ``apply``, ``construct`` and ``suite`` is built
-as one string per stream and written once; ``construct`` formats the
-partner without the pure-Python ``json`` indent encoder, byte for byte as
-``json.dumps(doc, indent=2)`` would.
+as one string per stream and written once.
+
+Every bulk float the CLI writes (the ``apply`` rows and ``--out`` series
+document, the ``construct`` partner) goes through one writer, `_float_json`:
+orjson writes the shortest round-trip digits, as ``repr`` does, and three
+text rewrites turn its notation into ``repr``'s, so the bytes are those of
+``repr`` and ``json.dumps(doc, indent=2)`` without the per-float Python
+work or the pure-Python ``json`` indent encoder.
 
 Exit codes: 0 the checked statement holds (or the command succeeded),
 1 it fails, 2 usage or parse error (including an unreadable function file
@@ -43,6 +48,7 @@ import cmath
 import functools
 import json
 import math
+import re
 import sys
 from itertools import chain, starmap
 from pathlib import Path
@@ -90,8 +96,12 @@ class UsageError(PValentError):
 
 def parse_angle(text: str) -> float:
     """Radians, with an optional pi* prefix: '0.5', 'pi*0.5', '-pi*1'.  One
-    leading sign at most, as for `float`: '--1' and '+-1' are rejected."""
+    leading sign at most, as for `float`: '--1' and '+-1' are rejected.
+    Surrounding whitespace is ignored and inner whitespace rejected, so
+    '- 1' and 'pi* 0.5' are errors, as ``float('- 1')`` is."""
     t = text.strip()
+    if any(map(str.isspace, t)):
+        raise ValueError(f"whitespace inside {text!r}")
     sign = 1.0
     if t.startswith(("+", "-")):
         if t[0] == "-":
@@ -251,20 +261,61 @@ def function_file_document(f: MultivalentFunction, op: OperatorParams) -> dict:
     }
 
 
-def function_file_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)`` for a document of finite coefficients.
+#: orjson writes positional digits from 1e-5 up to 1e16, so its positive
+#: exponents are 16 or more and its one-digit exponents the negative ones -6
+#: to -9.  Each pattern begins with a literal, which `re` finds fast, and
+#: the two exponent rewrites use literal replacements.
+_POSITIVE_EXPONENT = re.compile(r"e(?=\d)")
+_ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d(?!\d))")
+#: orjson's positional form of 1e-5 <= |x| < 1e-4; the lookbehind, tried
+#: only where the literal matched, skips the same six characters inside a
+#: longer number such as 10.00001
+_FIVE_PLACES = re.compile(r"0\.0000(?<!\d0\.0000)(\d)(\d*)")
 
-    With `indent` set, `json` runs its pure-Python encoder; here only the
-    scalar keys go through it, and the coefficient block is one join of
-    float reprs, which is what `json` writes for finite floats.
+
+def _e05(match: re.Match) -> str:
+    """repr's e-05 form of orjson's 0.0000d..."""
+    lead, rest = match.groups()
+    return f"{lead}.{rest}e-05" if rest else f"{lead}e-05"
+
+
+def _float_json(obj, indent: bool = False) -> str:
+    """orjson's JSON text of `obj` with every float in ``repr``'s notation.
+
+    `obj` nests lists, tuples and numpy arrays of ints and finite floats; no
+    strings or bools, whose letters the rewrites would change.  The text is
+    ``json.dumps(obj)`` without spaces, or ``json.dumps(obj, indent=2)`` with
+    `indent`.  orjson and ``repr`` both write the shortest digits that
+    round-trip; only the notation differs, and three rewrites mend it: a
+    positive exponent gets its '+' (1e16 -> 1e+16), a one-digit exponent
+    its leading zero (2.5e-7 -> 2.5e-07), and the positional form orjson
+    uses for 1e-5 <= |x| < 1e-4 becomes scientific (0.000015 -> 1.5e-05).
+    orjson writes inf and nan as null, so the floats must be finite; every
+    caller writes image or partner coefficients, and a non-finite one of
+    those is a DomainError before any writer runs.
     """
-    head = json.dumps({**doc, "coefficients": []}, indent=2)
-    if not doc["coefficients"]:
-        return head
-    body = ",\n".join(
-        [f"    [\n      {re!r},\n      {im!r}\n    ]" for re, im in doc["coefficients"]]
-    )
-    return head.replace('"coefficients": []', f'"coefficients": [\n{body}\n  ]')
+    option = orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent else 0)
+    text = orjson.dumps(obj, option=option).decode()
+    text = _POSITIVE_EXPONENT.sub("e+", text)
+    text = _ONE_DIGIT_EXPONENT.sub("e-0", text)
+    return _FIVE_PLACES.sub(_e05, text)
+
+
+def _document_text(doc: dict, key: str) -> str:
+    """``json.dumps(doc, indent=2)`` for a document whose `key` holds numbers.
+
+    The other keys go through `json`; the block under `key` is one
+    `_float_json` call, indented one level deeper.
+    """
+    head = json.dumps({**doc, key: []}, indent=2)
+    body = _float_json(doc[key], indent=True).replace("\n", "\n  ")
+    return head.replace(f'"{key}": []', f'"{key}": {body}')
+
+
+def function_file_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)`` for a function file document of finite
+    coefficients, its coefficient block written by `_float_json`."""
+    return _document_text(doc, "coefficients")
 
 
 def _write_text(out: Path, text: str) -> None:
@@ -279,13 +330,15 @@ def _write_document(doc: dict, out: Path | None) -> None:
         _write_text(out, json.dumps(doc, indent=2) + "\n")
 
 
-def _series_document(series: TruncatedSeries, prime: bool) -> dict:
-    return {
+def _series_text(series: TruncatedSeries, prime: bool) -> str:
+    """The ``apply --out`` document, as ``json.dumps(doc, indent=2)`` writes it."""
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "series",
         "prime": prime,
         "terms": [[e, [c.real, c.imag]] for e, c in series.terms()],
     }
+    return _document_text(doc, "terms")
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +351,11 @@ def cmd_apply(args) -> int:
     series = (
         blend_derivative_normalized(f, op) if args.prime else salagean_blend(f, op)
     )
-    rows = "".join([f"{e} {c.real!r} {c.imag!r}\n" for e, c in series.terms()])
-    sys.stdout.write("# exponent re im\n" + rows)
+    rows = _float_json([(e, c.real, c.imag) for e, c in series.terms()])
+    rows = rows[2:-2].replace("],[", "\n").replace(",", " ")
+    sys.stdout.write(f"# exponent re im\n{rows}\n")
     if args.out is not None:
-        _write_document(_series_document(series, args.prime), args.out)
+        _write_text(args.out, _series_text(series, args.prime) + "\n")
     return EXIT_HOLDS
 
 

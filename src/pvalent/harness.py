@@ -216,8 +216,10 @@ def sup_oracle(coeffs, grid: int) -> float:
     with q = ceil(sqrt(L)), is the product of two exact exponentials, of
     a1 q l and a0 l mod grid, from two small tables.  With L = 1 this is one
     FFT of the folded coefficients.  Nothing of size O(grid) outlives the
-    call.  Deliberately independent of the production path; it shares only
-    the input rules of `series`.
+    call.  Coefficients past 2^512 are scaled by a power of two first, and a
+    maximum beyond the float range is returned as inf.  Deliberately
+    independent of the production path; it shares only the input rules of
+    `series`.
     """
     grid = _require_int(grid, "grid")
     if grid < 1:
@@ -225,6 +227,13 @@ def sup_oracle(coeffs, grid: int) -> float:
     c = _coefficient_array(coeffs)
     if c.size == 0:
         return 0.0
+    # data past 2^512 is scaled by a power of two, which is exact, so that no
+    # sum overflows; below it no sample can, and the data is used as given
+    exponent = math.frexp(float(np.max(np.abs(c.view(np.float64)))))[1]
+    if exponent > 512:
+        c = np.ldexp(c.view(np.float64), -exponent).view(np.complex128)
+    else:
+        exponent = 0
     size = min(c.size, grid)
     folded = np.zeros(size, dtype=np.complex128)
     np.add.at(folded, np.arange(c.size) % grid, c)
@@ -235,7 +244,9 @@ def sup_oracle(coeffs, grid: int) -> float:
     low = _roots_of_unity(np.outer(np.arange(q), ell), grid) * folded
     high = _roots_of_unity(np.outer(np.arange(0, rows, q), ell), grid)
     twisted = (high[:, None, :] * low[None, :, :]).reshape(-1, size)[:rows]
-    return float(np.abs(np.fft.fft(twisted, n=m, axis=1)).max())
+    best = np.abs(np.fft.fft(twisted, n=m, axis=1)).max()
+    with np.errstate(over="ignore"):  # a maximum past the float range is inf
+        return float(np.ldexp(best, exponent))
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,20 @@ def test_large_coefficients_do_not_overflow():
     assert min(theta, 2 * math.pi - theta) < 1e-9
 
 
+@pytest.mark.parametrize("grid", [8, 1 << 12])
+def test_oracle_scales_data_near_the_float_maximum(grid):
+    # unscaled, the folding sums and the FFT of such data overflow; like the
+    # supremum, the oracle returns inf for a maximum past the float range
+    with np.errstate(over="raise", invalid="raise"):
+        assert sup_oracle([1e308, 1e308], grid) == math.inf
+        assert sup_oracle([1e308, 0.0], grid) == 1e308
+        assert sup_oracle(np.full(50, 1e300, dtype=complex), grid) == pytest.approx(
+            5e301, rel=1e-13
+        )
+        value, _ = max_modulus_on_circle([1e308, 1e308], grid)
+    assert value == math.inf
+
+
 def _reference_max_modulus(coeffs, grid: int) -> tuple[float, float]:
     """The refinement as whole-array numpy steps over all live brackets: the
     bitwise reference for the scalar bookkeeping of `max_modulus_on_circle`."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import orjson
 import pytest
 from hypothesis import example, given, settings
@@ -139,12 +141,20 @@ def test_apply_huge_integer_literals_are_file_errors(tmp_path):
         assert result.stderr.startswith(f"error: {src}: {message}"), result.stderr
 
 
-@pytest.mark.parametrize("angle", ["--1", "+-1", "-+0.5"])
-def test_angle_with_two_leading_signs_is_a_usage_error(tmp_path, angle):
-    f = write_json(tmp_path / "f.json", IDENTITY_FILE)
-    result = run_cli("check", f, f, "--criterion", "suff-n", "--delta", "1.0", f"--alpha={angle}")
-    assert result.returncode == 2, result.stderr
-    assert f"argument --alpha: invalid parse_angle value: '{angle}'" in result.stderr
+# a sign must touch its number, as for float: '- 1' is rejected like '--1'
+@pytest.mark.parametrize("angle", ["--1", "+-1", "-+0.5", "- 1", "+ 0.5", "-\t1", "pi* 0.5"])
+def test_angle_with_two_leading_signs_is_a_usage_error(cli, tmp_path, capsys, angle):
+    f = str(write_json(tmp_path / "f.json", IDENTITY_FILE))
+    code = cli.main(["check", f, f, "--criterion", "suff-n", "--delta", "1.0", f"--alpha={angle}"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"argument --alpha: invalid parse_angle value: {angle!r}" in err
+
+
+def test_angle_keeps_surrounding_whitespace(cli):
+    assert cli.parse_angle(" -1 ") == -1.0
+    assert cli.parse_angle("\t+pi*0.5\n") == 0.5 * math.pi
+    assert cli.parse_angle(" pi*-0.5") == -0.5 * math.pi
 
 
 def test_apply_non_utf8_file_is_a_file_error(tmp_path):
@@ -541,7 +551,9 @@ def test_angle_parsing_round_trip(tmp_path):
 # k300_function.json holds K = 300 coefficients with -0.0, 5e-324, an entry
 # that apply --prime scales to 1e308 and integer-valued entries; the two
 # stdout files were written by the per-line print and json.dumps(indent=2)
-# code that the single-write output replaced.
+# code that the single-write output replaced, and the two k300_apply series
+# documents (apply --out, with and without --prime) by the json.dumps(indent=2)
+# code that the orjson float writer replaced.
 GOLDEN_FUNCTION = GOLDEN / "k300_function.json"
 
 
@@ -559,6 +571,17 @@ def test_golden_construct_stdout(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / "construct_stdout.json").read_bytes()
     assert out.read_bytes() == result.stdout
+
+
+@pytest.mark.parametrize(
+    "flags, golden",
+    [([], "k300_apply_series.json"), (["--prime"], "k300_apply_prime_series.json")],
+)
+def test_golden_apply_series_documents(cli, tmp_path, capsys, flags, golden):
+    out = tmp_path / "series.json"
+    assert cli.main(["apply", str(GOLDEN_FUNCTION), *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 # k300_checks.json holds the exit code, stdout, stderr and --out bytes of
@@ -676,6 +699,55 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
           "coefficients": [[-0.0, 5e-324], [1e308, -1.7976931348623157e308], [3.0, 0.1]]})
 def test_function_file_text_matches_json_dumps(cli, doc):
     assert cli.function_file_text(doc) == json.dumps(doc, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.tuples(finite_floats, finite_floats),
+    st.lists(st.tuples(st.integers(1, 10**3), finite_floats, finite_floats), max_size=20),
+    st.booleans(),
+)
+def test_series_text_matches_json_dumps(cli, lead_exp, lead, steps, prime):
+    from pvalent.series import TruncatedSeries
+
+    exponents = itertools.accumulate([lead_exp] + [step for step, _, _ in steps])
+    tail = [(e, complex(re, im)) for e, (_, re, im) in zip(list(exponents)[1:], steps)]
+    series = TruncatedSeries(lead_exp, complex(*lead), tuple(tail))
+    doc = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "kind": "series",
+        "prime": prime,
+        "terms": [[e, [c.real, c.imag]] for e, c in series.terms()],
+    }
+    assert cli._series_text(series, prime) == json.dumps(doc, indent=2)
+
+
+def _float_writer_cases() -> list[float]:
+    """Random finite bit patterns, one draw per decade of either sign, and
+    the boundaries of orjson's and repr's notations."""
+    rng = np.random.default_rng(25)
+    floats = rng.integers(0, 2**64, size=201_000, dtype=np.uint64).view(np.float64)
+    patterns = floats[np.isfinite(floats)].tolist()
+    assert len(patterns) >= 200_000
+    decades = [float(f"{rng.uniform(1.0, 10.0)!r}e{k}") for k in range(-324, 309)]
+    edges = [0.0, 5e-324, 9999999999999998.0, 1e16, sys.float_info.max, 10.00001]
+    for edge in (1e-5, 1e-4):
+        edges += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+    signed = [x for x in decades + edges if math.isfinite(x)]
+    return patterns + signed + [-x for x in signed]
+
+
+def test_float_writer_writes_repr(cli):
+    cases = _float_writer_cases()
+    expected = "[" + ",".join(map(repr, cases)) + "]"
+    assert cli._float_json(cases) == expected
+    # a 2-D array, [[a,b],[c,d]], is the flat text with its rows joined
+    even = cases[: len(cases) // 2 * 2]
+    pairs = cli._float_json(np.array(even).reshape(-1, 2))
+    assert "[" + pairs[2:-2].replace("],[", ",") + "]" == cli._float_json(even)
+    tail = cases[-2000:]
+    assert cli._float_json(tail, indent=True) == json.dumps(tail, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ into TREE, and prints the op count, the suite count and one hash over
 * the exit code, stdout, stderr and ``--out`` bytes of every
   `check_highdeg` and `coeff_highdeg` CLI op (warm-up included) that
   `bench/workloads.py` `build` plans at seeds 1-3, built in one fixed work
-  directory so that the paths in the ops and their messages match;
+  directory so that the paths in the ops and their messages match, and of
+  every ``apply`` op run a second time with ``--out`` added, since the
+  benchmark's ``apply`` ops write no series document;
 * ``json.dumps(run_property_suite(s, 30, seed).to_document(), sort_keys=True)``
   for every suite s at seeds 0 and 7.
 
@@ -63,15 +65,20 @@ def fingerprint(tree: Path) -> tuple[int, int, str]:
             for seed in CLI_SEEDS:
                 plan = workloads.build(workload, seed, WORKDIR)
                 for op in (plan["warmup"], *plan["ops"]):
-                    report = Path(op.get("out", WORKDIR / "no-report"))
-                    report.unlink(missing_ok=True)  # tags repeat across seeds
-                    out, err = io.StringIO(), io.StringIO()
-                    with redirect_stdout(out), redirect_stderr(err):
-                        code = cli.main(op["argv"])
-                    report = report.read_bytes() if report.exists() else b""
-                    _feed(digest, str(code).encode(), out.getvalue().encode(),
-                          err.getvalue().encode(), report)
-                    ops += 1
+                    runs = [(op["argv"], op.get("out", WORKDIR / "no-report"))]
+                    if op["argv"][0] == "apply":
+                        series = WORKDIR / "series.json"
+                        runs.append(([*op["argv"], f"--out={series}"], series))
+                    for argv, report in runs:
+                        report = Path(report)
+                        report.unlink(missing_ok=True)  # tags repeat across seeds
+                        out, err = io.StringIO(), io.StringIO()
+                        with redirect_stdout(out), redirect_stderr(err):
+                            code = cli.main(argv)
+                        report = report.read_bytes() if report.exists() else b""
+                        _feed(digest, str(code).encode(), out.getvalue().encode(),
+                              err.getvalue().encode(), report)
+                        ops += 1
     finally:
         shutil.rmtree(WORKDIR, ignore_errors=True)
     suites = sorted(harness.SUITES)
